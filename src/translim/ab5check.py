@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .diagrams import InverseSystem, lim_to_prod_section_check
-from .errors import InvalidAlphaError, TheoryMismatchError
+from .errors import InvalidAlphaError, TheoryMismatchError, TranslimError
 from .instances import FiniteMod
 from .ordinal import OMEGA, ZERO, Ordinal, format_ordinal, from_int, \
     sample_points_below
@@ -95,7 +95,10 @@ def eta_surjective_decision(modulus: int, index: Ordinal) -> EtaVerdict:
     for m in range(1, 7):
         fam = PwcSeq.constant(one, from_int(m))
         support = fam.support_if_finite(mod.zero())
-        assert support is not None and len(support) == m
+        if support is None or len(support) != m:
+            raise TranslimError(
+                f"the constant-one family of length {m} has support "
+                f"{support!r}, not {m} points")
         growth.append(len(support))
     return EtaVerdict(modulus, index, False, {
         "kind": "constant-one-escape",

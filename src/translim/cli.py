@@ -137,7 +137,13 @@ def _cmd_sumterm(args) -> int:
 # -- check -----------------------------------------------------------------------
 
 
+def _check_trials(args):
+    if args.trials < 0:
+        raise ParseError("--trials must be at least 0")
+
+
 def _cmd_check_limterm(args) -> int:
+    _check_trials(args)
     alpha = parse_ordinal(args.alpha)
     modules = ([parse_instance(args.module)] if args.module
                else list(standard_battery()))
@@ -175,6 +181,7 @@ def _cmd_check_ab5(args) -> int:
         raise ParseError("one of --ring or --mod is required")
     if modulus < 1:
         raise ParseError("the modulus must be at least 1")
+    _check_trials(args)
     index = parse_ordinal(args.set)
     if index.is_zero:
         raise ParseError("--set must be an ordinal of at least 1")
@@ -242,6 +249,8 @@ def _cmd_check_ab5(args) -> int:
 
 
 def _cmd_check_refute(args) -> int:
+    if args.mod < 1:
+        raise ParseError("the modulus must be at least 1")
     alpha = parse_ordinal(args.alpha)
     theory = AdditiveTheory(args.mod, infinitary=False)
     verdict = transfinite.refute_limit_term_finitary(args.mod, alpha)

@@ -28,6 +28,7 @@ from .errors import (
     LevelwiseNotEpiError,
     ParseError,
     TheoryMismatchError,
+    TranslimError,
 )
 from .instances import (
     FiniteMod,
@@ -201,7 +202,10 @@ def limit_object(system: InverseSystem, max_depth: int = 32) -> LimitObject:
     carrier = Submodule(top, tuple(sorted(current)))
     lift = {endo(x): x for x in current}
     # on the stabilized image the endomorphism is onto, hence bijective
-    assert len(lift) == len(current)
+    if len(lift) != len(current):
+        raise TranslimError(
+            f"the endomorphism is not injective on the stabilized image "
+            f"({len(current)} elements, {len(lift)} distinct images)")
     return LimitObject(system, anchor, carrier, depth, lift)
 
 

@@ -189,6 +189,17 @@ def left_subtract(b: Ordinal, a: Ordinal) -> Ordinal:
     return Ordinal(((ea, ca - cb),) + a.cnf[j + 1:])
 
 
+def split_finite(a: Ordinal):
+    """(l, n) with a = l + n, where l is zero or a limit and n a natural.
+
+    >>> split_finite(parse_ordinal("w^2+w*3+7"))
+    (Ordinal('w^2+w*3'), 7)
+    """
+    if a.cnf and a.cnf[-1][0] == ZERO:
+        return Ordinal(a.cnf[:-1]), a.cnf[-1][1]
+    return a, 0
+
+
 def interval_cardinality(b: Ordinal, e: Ordinal):
     """Number of points in [b, e) if finite, else None.  Requires b <= e."""
     d = left_subtract(b, e)

@@ -56,8 +56,11 @@ class PwcSeq:
         pieces = _normalize(pieces)
         if not pieces:
             return PwcSeq(ZERO, (ZERO,), ())
-        breaks = tuple(p[0] for p in pieces) + (pieces[-1][1],)
-        return PwcSeq(length, breaks, tuple(p[2] for p in pieces))
+        # zip builds each tuple at its final size; tuple() over a generator
+        # resizes it, and resized tuples pile up in CPython's per-size tuple
+        # free lists, which keep them until a full garbage collection
+        starts, ends, values = zip(*pieces)
+        return PwcSeq(length, starts + ends[-1:], values)
 
     @staticmethod
     def empty():
@@ -97,7 +100,7 @@ class PwcSeq:
 
         entries: iterable of (index, value) with indices strictly below length.
         """
-        entries = sorted(entries, key=_ord_sort_key)
+        entries = sorted(entries, key=lambda e: e[0])
         pieces = []
         prev = ZERO
         for idx, val in entries:
@@ -241,19 +244,6 @@ class PwcSeq:
         body = ";".join(
             f"[{lo},{hi})->{v!r}" for lo, hi, v in self.pieces())
         return f"PwcSeq({body or 'empty'})"
-
-
-def _ord_sort_key(entry):
-    # strict total order on ordinals packaged for sorted(); compares via <
-    class _K:
-        __slots__ = ("o",)
-
-        def __init__(self, o):
-            self.o = o
-
-        def __lt__(self, other):
-            return self.o < other.o
-    return _K(entry[0])
 
 
 # -- textual form -------------------------------------------------------------

@@ -8,13 +8,19 @@ recursion
 which is well founded because every prefix is strictly shorter.  For a
 piecewise-constant family the inner limits are constant on each piece, so
 the difference family vanishes except at the finitely many piece starts
-and the outer sum is finite.  lim_eval below computes exactly this;
-lim_value is the telescoped final-interval value that the recursion
-provably collapses to, and the two are cross-checked by audit_lim.
+and the outer sum is finite.  lim_eval computes exactly this in one pass
+over the pieces: the inner limit at a piece start lo is the recursion's
+value on the prefix [0, lo), which is the finite sum of the differences
+met so far, so it is carried along instead of recomputed.  lim_value is
+the telescoped final-interval value that the recursion provably collapses
+to, and the two are cross-checked by audit_lim.
 
 Sums over a limit-length index are in turn limits of partial sums, which
 is what sum_eval_from_lim implements; it exists so that summation can be
 validated against the independent finite-support sum of the instances.
+A successor length is peeled one piece at a time: n equal points add up
+to n times their value, so the cost follows the number of pieces, not the
+size of the finite coefficients.
 """
 
 from __future__ import annotations
@@ -23,9 +29,21 @@ import random
 from dataclasses import dataclass
 
 from . import sampling
-from .errors import DivergentSumError, InvalidAlphaError, LengthMismatchError
+from .errors import (
+    DivergentSumError,
+    InvalidAlphaError,
+    LengthMismatchError,
+    TranslimError,
+)
 from .instances import FiniteMod
-from .ordinal import ONE, ZERO, Ordinal, format_ordinal, left_subtract
+from .ordinal import (
+    ONE,
+    ZERO,
+    Ordinal,
+    format_ordinal,
+    left_subtract,
+    split_finite,
+)
 from .pwcseq import PwcSeq, format_pwc
 from .terms import (
     AdditiveTheory,
@@ -41,22 +59,36 @@ from .terms import (
 
 
 def lim_eval(module, fam: PwcSeq):
-    """The limit of fam by the difference-and-sum recursion.
+    """The limit of fam by the difference-and-sum recursion, in one pass.
 
-    On finite instances each piece interior is spot-checked to contribute
-    a zero difference, which is the fact that makes the support finite.
+    At each piece start lo the running value is lim_eval(fam.prefix(lo)):
+    by induction on the pieces it is the sum of the differences collected
+    before lo.  On finite instances each piece interior is spot-checked to
+    contribute a zero difference (the running value after the piece start
+    is the piece's value), which is the fact that makes the support
+    finite; a failure raises TranslimError naming the piece.  Over a free
+    module the running value is the formal sum of those differences.
     """
     if fam.length.is_zero:
         return module.zero()
     zero = module.zero()
     support = []
+    running = zero
     for lo, hi, v in fam.pieces():
-        prefix_lim = lim_eval(module, fam.prefix(lo))
-        d = module.sub(v, prefix_lim)
+        if not module.is_finite and not lo.is_zero:
+            running = module.infinitary_sum(
+                PwcSeq.from_support(support, lo, zero))
+        d = module.sub(v, running)
         if d != zero:
             support.append((lo, d))
-        if module.is_finite and lo + ONE < hi:
-            assert lim_eval(module, fam.prefix(lo + ONE)) == v
+            if module.is_finite:
+                running = module.add(running, d)
+        if module.is_finite and lo + ONE < hi and running != v:
+            fmt = module.format_element
+            raise TranslimError(
+                f"limit recursion: piece [{format_ordinal(lo)},"
+                f"{format_ordinal(hi)}) -> {fmt(v)} has a nonzero "
+                f"difference past its start (running limit {fmt(running)})")
     diff = PwcSeq.from_support(support, fam.length, zero)
     return module.infinitary_sum(diff)
 
@@ -81,25 +113,49 @@ def audit_lim(module, fam: PwcSeq):
 def sum_eval_from_lim(module, fam: PwcSeq):
     """Sum of fam computed through the limit recursion.
 
-    Successor lengths peel the last entry; a limit length takes the limit
+    A successor length peels the last piece whole: if the piece is finite,
+    its n points contribute n times its value and the length drops to the
+    piece start; otherwise the piece covers the length's finite
+    coefficient c, which contributes c times the value, and the length
+    drops to its limit part.  The remaining limit length takes the limit
     of the partial-sum family, which is piecewise constant exactly when
     the nonzero part of fam is finite (DivergentSumError otherwise).
     """
     tail = None
     b = fam.length
+    pieces = fam.pieces()
     while b.is_successor:
-        d = b.predecessor()
-        last = fam.value_at(d)
-        tail = last if tail is None else module.add(last, tail)
-        fam = fam.prefix(d)
-        b = d
+        lo, _, v = pieces.pop()
+        rest = left_subtract(lo, b)
+        if rest.is_finite:
+            n, b = rest.to_int(), lo
+        else:
+            b, n = split_finite(b)
+        tail = _add_copies(module, n, v, tail)
     if b.is_zero:
         core = module.zero()
     else:
+        if b != fam.length:
+            fam = fam.prefix(b)
         core = _lim_of_partial_sums(module, fam)
     if tail is None:
         return core
     return module.add(core, tail)
+
+
+def _add_copies(module, n, v, tail):
+    """n copies of v added in front of tail (None: nothing peeled yet).
+
+    On finite instances the n copies are module.scal(n, v).  A free module
+    does not reduce terms, so there the copies stay the nested sum
+    v + (v + (... + tail)) that peeling point by point spells.
+    """
+    if module.is_finite:
+        part = module.scal(n, v)
+        return part if tail is None else module.add(part, tail)
+    for _ in range(n):
+        tail = v if tail is None else module.add(v, tail)
+    return tail
 
 
 def _lim_of_partial_sums(module, fam: PwcSeq):

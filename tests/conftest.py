@@ -27,28 +27,18 @@ battery_modules = st.sampled_from(standard_battery())
 
 
 @st.composite
-def pwc_over(draw, module_strategy=battery_modules, alpha_strategy=None):
+def pwc_over(draw, module_strategy=battery_modules, alpha_strategy=None,
+             max_cuts=3):
     """(module, family) pairs; family is piecewise constant on [0, alpha)."""
     module = draw(module_strategy)
     alpha = draw(alpha_strategy or positive_ordinals)
     from translim import sample_points_below
     cuts = sorted(set(draw(st.lists(
         st.sampled_from(sample_points_below(alpha) or [alpha]),
-        min_size=0, max_size=3))), key=_key)
+        min_size=0, max_size=max_cuts))))
     cuts = [c for c in cuts if c < alpha]
     bounds = [ZERO] + cuts + [alpha]
     elems = st.sampled_from(module.elements())
     pieces = [(lo, hi, draw(elems)) for lo, hi in zip(bounds, bounds[1:])]
     return module, PwcSeq.from_pieces(pieces)
 
-
-def _key(o):
-    class _K:
-        __slots__ = ("o",)
-
-        def __init__(self, o):
-            self.o = o
-
-        def __lt__(self, other):
-            return self.o < other.o
-    return _K(o)

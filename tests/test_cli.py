@@ -231,6 +231,23 @@ def test_check_refute_rejects_malformed_candidate(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("check", "limterm", "--alpha", "w", "--trials", "-5"),
+    ("check", "ab5", "--ring", "2", "--trials", "-5"),
+])
+def test_negative_trials_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --trials must be at least 0\n"
+
+
+@pytest.mark.parametrize("mod", ["0", "-3"])
+def test_check_refute_rejects_a_modulus_below_one(capsys, mod):
+    code, out, err = run_cli(capsys, "check", "refute", "--mod", mod)
+    assert (code, out) == (2, "")
+    assert err == "error: the modulus must be at least 1\n"
+
 # -- diagram -----------------------------------------------------------------
 
 

@@ -16,7 +16,12 @@ from translim import (
     parse_ordinal,
     sample_points_below,
 )
-from translim.ordinal import compare, exponents_in, interval_cardinality
+from translim.ordinal import (
+    compare,
+    exponents_in,
+    interval_cardinality,
+    split_finite,
+)
 
 from conftest import ordinals
 
@@ -110,21 +115,11 @@ def test_finite_round_trip(a):
 @given(ordinals())
 def test_sample_points_inside(alpha):
     pts = sample_points_below(alpha)
-    assert pts == sorted(pts, key=lambda p: _as_key(p))
+    assert pts == sorted(pts)
     assert len(set(pts)) == len(pts)
     for p in pts:
         assert ONE < p or ONE == p
         assert p < alpha
-
-
-def _as_key(p):
-    class _K:
-        def __init__(self, o):
-            self.o = o
-
-        def __lt__(self, other):
-            return self.o < other.o
-    return _K(p)
 
 
 def test_sample_points_examples():
@@ -142,6 +137,21 @@ def test_interval_cardinality():
     assert interval_cardinality(ZERO, OMEGA) is None
     assert interval_cardinality(OMEGA, parse_ordinal("w*2")) is None
 
+
+
+def test_split_finite_examples():
+    assert split_finite(ZERO) == (ZERO, 0)
+    assert split_finite(from_int(5)) == (ZERO, 5)
+    assert split_finite(OMEGA) == (OMEGA, 0)
+    assert split_finite(parse_ordinal("w^2+w*3+7")) == (
+        parse_ordinal("w^2+w*3"), 7)
+
+
+@given(ordinals())
+def test_split_finite_is_limit_plus_natural(a):
+    lim_part, n = split_finite(a)
+    assert lim_part + from_int(n) == a
+    assert not lim_part.is_successor
 
 @given(ordinals())
 @settings(max_examples=40)

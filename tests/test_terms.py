@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import _key, battery_modules, ordinals
+from conftest import battery_modules, ordinals
 
 from translim import (
     INDEX,
@@ -98,7 +98,7 @@ def term_families(draw, alpha, length, depth):
     """PwcSeq of terms on [0, length); bodies may use the positional idx."""
     pts = [p for p in sample_points_below(length) if p < length]
     cuts = sorted(set(draw(st.lists(st.sampled_from(pts), max_size=2))
-                  if pts else []), key=_key)
+                  if pts else []))
     bounds = [ZERO] + cuts + [length]
     pieces = [(lo, hi, draw(terms_over(alpha, depth, in_family=True)))
               for lo, hi in zip(bounds, bounds[1:])]
@@ -115,7 +115,7 @@ def assignments_over(draw, alpha, depth=1):
 def element_families(draw, module, alpha):
     pts = [p for p in sample_points_below(alpha) if p < alpha]
     cuts = sorted(set(draw(st.lists(st.sampled_from(pts), max_size=2))
-                  if pts else []), key=_key)
+                  if pts else []))
     bounds = [ZERO] + cuts + [alpha]
     elems = st.sampled_from(module.elements())
     return PwcSeq.from_pieces(

@@ -1,5 +1,6 @@
 """Difference-and-sum recursion, summation routes, limit-term verdicts."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -8,17 +9,20 @@ from conftest import ordinals, pwc_over
 
 from translim import (
     OMEGA,
+    ONE,
     ZERO,
     AdditiveTheory,
     App,
     DivergentSumError,
     FiniteMod,
+    FreeSymbolic,
     InvalidAlphaError,
     LengthMismatchError,
     Lim,
     PwcSeq,
     Sum,
     TheoryMismatchError,
+    TranslimError,
     UnboundVariableError,
     Var,
     ZERO_TERM,
@@ -37,6 +41,7 @@ from translim import (
     refute_limit_term_finitary,
     restrict_sum,
     scal,
+    standard_battery,
     substitute,
     sum_eval_from_lim,
     sum_term,
@@ -44,6 +49,7 @@ from translim import (
     var,
     verify_limit_term,
 )
+from translim.ordinal import split_finite
 
 Z2 = parse_instance("Z/2")
 Z3 = parse_instance("Z/3")
@@ -148,6 +154,139 @@ def test_restrict_sum_is_sum_of_zero_padding(pair, delta):
         return
     assert restrict_sum(module, fam, alpha) == direct
 
+
+# -- one pass against the prefix recursion -------------------------------------------
+# The references evaluate the recursion literally: every inner limit is
+# recomputed from its prefix, and sums are peeled one point at a time.  They
+# are exponential in the pieces and linear in the coefficients, so they only
+# run on small families.
+
+def _reference_lim_eval(module, fam):
+    if fam.length.is_zero:
+        return module.zero()
+    zero = module.zero()
+    support = []
+    for lo, hi, v in fam.pieces():
+        d = module.sub(v, _reference_lim_eval(module, fam.prefix(lo)))
+        if d != zero:
+            support.append((lo, d))
+        if module.is_finite and lo + ONE < hi:
+            assert _reference_lim_eval(module, fam.prefix(lo + ONE)) == v
+    return module.infinitary_sum(
+        PwcSeq.from_support(support, fam.length, zero))
+
+
+def _reference_sum(module, fam):
+    tail = None
+    b = fam.length
+    while b.is_successor:
+        b = b.predecessor()
+        last = fam.value_at(b)
+        tail = last if tail is None else module.add(last, tail)
+        fam = fam.prefix(b)
+    core = module.zero()
+    if not b.is_zero:
+        support = fam.support_if_finite(core)
+        if support is None:
+            raise DivergentSumError("infinite nonzero part")
+        pieces = []
+        prev = ZERO
+        for x, v in support:
+            pieces.append((prev, x + ONE, core))
+            core = module.add(core, v)
+            prev = x + ONE
+        pieces.append((prev, b, core))
+        core = _reference_lim_eval(module, PwcSeq.from_pieces(pieces))
+    return core if tail is None else module.add(core, tail)
+
+
+@pytest.mark.parametrize("module", standard_battery(), ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_pass_lim_eval_matches_the_recursion(module, data):
+    _, fam = data.draw(pwc_over(st.just(module), max_cuts=4))
+    assert (lim_eval(module, fam) == _reference_lim_eval(module, fam)
+            == lim_value(module, fam))
+
+
+@pytest.mark.parametrize("module", standard_battery(), ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_piecewise_peeling_matches_point_by_point(module, data):
+    _, fam = data.draw(pwc_over(st.just(module), max_cuts=4))
+    try:
+        expected = _reference_sum(module, fam)
+    except DivergentSumError:
+        with pytest.raises(DivergentSumError):
+            sum_eval_from_lim(module, fam)
+        return
+    assert (sum_eval_from_lim(module, fam) == expected
+            == module.infinitary_sum(fam))
+
+
+def test_free_module_terms_match_the_references():
+    free = FreeSymbolic(AdditiveTheory(2), OMEGA)
+    w_plus = OMEGA + from_int(3)
+    fam = _seq(free, [(0, 1, var(0)), (1, 4, var(1)), (4, w_plus, var(2))])
+    assert lim_eval(free, fam) == _reference_lim_eval(free, fam)
+    fam = _seq(free, [(0, 1, var(0)), (1, OMEGA, ZERO_TERM),
+                      (OMEGA, w_plus, var(1))])
+    assert sum_eval_from_lim(free, fam) == _reference_sum(free, fam)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_lim_eval_makes_no_recursive_call(monkeypatch):
+    bounds = [ZERO] + [parse_ordinal(t) for t in (
+        "1", "2", "5", "w", "w+1", "w*2", "w*2+3", "w^2", "w^2+1", "w^2+w")]
+    fam = PwcSeq.from_pieces([(lo, hi, ((i * 3 + 1) % 4,))
+                              for i, (lo, hi) in enumerate(zip(bounds,
+                                                               bounds[1:]))])
+    calls = _count_calls(monkeypatch, transfinite, "lim_eval")
+    prefixes = _count_calls(monkeypatch, PwcSeq, "prefix")
+    assert transfinite.lim_eval(Z4, fam) == lim_value(Z4, fam)
+    assert len(calls) == 1
+    assert prefixes == []
+
+
+@pytest.mark.parametrize("alpha_text",
+                         ["2000000", "w+3000000", "w^2+w*3+1000000"])
+@pytest.mark.parametrize("module, v", [(Z4, (3,)), (Z6, (5,))], ids=str)
+def test_sum_peeling_follows_pieces_not_coefficients(monkeypatch, alpha_text,
+                                                     module, v):
+    alpha = parse_ordinal(alpha_text)
+    lim_part, n = split_finite(alpha)
+    fam = PwcSeq.constant(module.zero(), lim_part).concat(
+        PwcSeq.constant(v, from_int(n)))
+    prefixes = _count_calls(monkeypatch, PwcSeq, "prefix")
+    lookups = _count_calls(monkeypatch, PwcSeq, "value_at")
+    got = sum_eval_from_lim(module, fam)
+    assert len(prefixes) <= 1 and lookups == []
+    assert got == ((n * v[0]) % module.shape[0],)
+
+
+class _ForgetfulSub(FiniteMod):
+    """A carrier whose subtraction ignores what it subtracts."""
+
+    def sub(self, a, b):
+        return a
+
+
+def test_broken_subtraction_fails_the_interior_check():
+    module = _ForgetfulSub(4, (4,))
+    fam = _seq(module, [(0, 1, (1,)), (1, OMEGA, (2,))])
+    with pytest.raises(TranslimError, match=r"piece \[1,w\)") as info:
+        lim_eval(module, fam)
+    assert not isinstance(info.value, AssertionError)
 
 # -- limit-term laws ------------------------------------------------------------------
 
