@@ -19,8 +19,8 @@ from .terms import (INDEX, ZERO_TERM, AdditiveTheory, App, FreeSignature,
                     IndexVar, Lim, Sum, Var, basis_family, check_term,
                     evaluate, format_term, parse_term, scal, substitute,
                     substitute_family, sum_term, var, variable_ceiling)
-from .instances import (FiniteMod, FreeSymbolic, Homomorphism, Product,
-                        Submodule, image, is_regular_epi, parse_instance,
+from .instances import (FiniteMod, FreeSymbolic, Homomorphism, Submodule,
+                        image, is_regular_epi, parse_instance,
                         parse_theory, standard_battery, zero_module)
 from .transfinite import (FinitaryLimitVerdict, LimitTermReport,
                           RefutationWitness, audit_lim, build_lim_term,
@@ -37,7 +37,7 @@ from .diagrams import (InverseSystem, LimitObject, SectionReport,
                        limit_object, retract_product_element,
                        system_from_json, system_to_json)
 from .ab5check import (AuditRow, DiagonalReport, EtaVerdict, SummationReport,
-                       diagonal_factorization, equivalence_audit,
+                       audit_point, diagonal_factorization, equivalence_audit,
                        eta_surjective_decision, summation_naturality_check,
                        summation_term_check, weighted_sum_term)
 from .reports import CaseResult, SuiteReport

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .diagrams import InverseSystem, lim_to_prod_section_check
 from .errors import InvalidAlphaError, TheoryMismatchError, TranslimError
-from .instances import FiniteMod
+from .instances import FiniteMod, Homomorphism
 from .ordinal import OMEGA, ZERO, Ordinal, format_ordinal, from_int, \
     sample_points_below
 from .pwcseq import PwcSeq, format_pwc
@@ -282,37 +282,63 @@ class AuditRow:
         }
 
 
+def audit_point(theory: AdditiveTheory, index: Ordinal, *, trials: int,
+                seed: int, section_trials: int):
+    """The three conditions at one theory and index, decided independently.
+
+    Returns the AuditRow and a dict holding, per condition, the report it
+    was decided from (each has to_json).  No answer is copied into another:
+    limits are verified or refuted on terms, reachability through the
+    section check or the finite-support decision, and the diagonal through
+    its own term.  A finitary witness term is verified before it counts.
+    Under infinitary summation the reachability evidence runs on a concrete
+    system, so the index must be finite or w there.
+    """
+    n = theory.modulus
+    if theory.infinitary:
+        # limits: the canonical limit term obeys both laws; reach: the
+        # summation section retracts the product onto the limit threads
+        mod = FiniteMod(n, (n,))
+        limits = verify_limit_term(build_lim_term(index), index, mod,
+                                   trials=trials, seed=seed)
+        cond_limits = limits.passed
+        if index == OMEGA:
+            system = InverseSystem(OMEGA, (mod,), (), "constant")
+        elif index.is_finite:
+            k = index.to_int()
+            system = InverseSystem(
+                index, (mod,) * k,
+                tuple(Homomorphism.identity(mod) for _ in range(k - 1)), None)
+        else:
+            raise InvalidAlphaError(
+                f"no concrete system of index {format_ordinal(index)}: the "
+                "reachability evidence needs a finite index or w")
+        reach = lim_to_prod_section_check(system, trials=section_trials,
+                                          seed=seed)
+        cond_reach = reach.passed
+        diagonal = diagonal_factorization(theory, index, (mod,))
+    else:
+        # limits: does any finitary term satisfy the laws; reach: do finite
+        # sums of generators fill the whole product
+        limits = refute_limit_term_finitary(n, index)
+        cond_limits = limits.exists and verify_limit_term(
+            limits.witness_term, index, FiniteMod(n, (n,), False),
+            trials=trials, seed=seed).passed
+        reach = eta_surjective_decision(n, index)
+        cond_reach = reach.surjective
+        diagonal = diagonal_factorization(theory, index)
+    row = AuditRow(theory.literal, n, theory.infinitary, cond_limits,
+                   cond_reach, diagonal.verified)
+    return row, {"limits": limits, "reach": reach, "diagonal": diagonal}
+
+
 def equivalence_audit(max_modulus: int = 6, *, seed: int = 0,
                       trials: int = 30) -> list:
-    """One row per theory: the three conditions, decided independently.
-
-    The audit never copies one answer into another; limits are verified or
-    refuted on terms, reachability through the section check or the
-    finite-support decision, and the diagonal through its own term.
-    """
+    """One row per theory: audit_point at w for Z/1 .. Z/max_modulus."""
     rows = []
     for infinitary in (False, True):
         for n in range(1, max_modulus + 1):
-            theory = AdditiveTheory(n, infinitary)
-            mod = FiniteMod(n, (n,), infinitary)
-            if infinitary:
-                rep = verify_limit_term(build_lim_term(OMEGA), OMEGA, mod,
-                                        trials=trials, seed=seed)
-                cond_limits = rep.passed
-                system = InverseSystem(OMEGA, (mod,), (), "constant")
-                cond_reach = lim_to_prod_section_check(
-                    system, trials=5, seed=seed).passed
-                cond_diagonal = diagonal_factorization(
-                    theory, OMEGA, (mod,)).verified
-            else:
-                verdict = refute_limit_term_finitary(n, OMEGA)
-                cond_limits = verdict.exists
-                if verdict.exists:
-                    rep = verify_limit_term(verdict.witness_term, OMEGA, mod,
-                                            trials=trials, seed=seed)
-                    cond_limits = rep.passed
-                cond_reach = eta_surjective_decision(n, OMEGA).surjective
-                cond_diagonal = diagonal_factorization(theory, OMEGA).verified
-            rows.append(AuditRow(theory.literal, n, infinitary,
-                                 cond_limits, cond_reach, cond_diagonal))
+            row, _ = audit_point(AdditiveTheory(n, infinitary), OMEGA,
+                                 trials=trials, seed=seed, section_trials=5)
+            rows.append(row)
     return rows

@@ -20,7 +20,7 @@ import sys
 
 from . import ab5check, diagrams, sampling, suites, transfinite
 from .errors import ParseError, TranslimError
-from .instances import FiniteMod, Homomorphism, parse_instance, standard_battery
+from .instances import FiniteMod, parse_instance, standard_battery
 from .ordinal import (OMEGA, compare, format_ordinal, left_subtract,
                       parse_ordinal, sample_points_below)
 from .pwcseq import parse_pwc
@@ -185,67 +185,33 @@ def _cmd_check_ab5(args) -> int:
     index = parse_ordinal(args.set)
     if index.is_zero:
         raise ParseError("--set must be an ordinal of at least 1")
-    infinitary = args.theory == "inf-add"
-    theory = AdditiveTheory(modulus, infinitary)
-    details = {}
-
-    if infinitary:
-        # limits: the canonical limit term obeys both laws; reach: the
-        # summation section retracts the product onto the limit threads
-        if not (index == OMEGA or index.is_finite):
-            raise ParseError("--set must be finite or w under inf-add; the "
-                             "reachability evidence runs on a concrete system")
-        module = FiniteMod(modulus, (modulus,), infinitary=True)
-        rep = transfinite.verify_limit_term(
-            transfinite.build_lim_term(index), index, module,
-            trials=args.trials, seed=args.seed)
-        cond_limits = rep.passed
-        details["limits"] = rep.to_json()
-        if index == OMEGA:
-            system = diagrams.InverseSystem(OMEGA, (module,), (), "constant")
-        else:
-            k = index.to_int()
-            system = diagrams.InverseSystem(
-                index, (module,) * k,
-                tuple(Homomorphism.identity(module) for _ in range(k - 1)),
-                None)
-        section = diagrams.lim_to_prod_section_check(system, trials=12,
-                                                     seed=args.seed)
-        cond_reach = section.passed
-        details["reach"] = section.to_json()
-    else:
-        # limits: does any finitary term satisfy the laws; reach: do finite
-        # sums of generators fill the whole product
-        verdict = transfinite.refute_limit_term_finitary(modulus, index)
-        cond_limits = verdict.exists
-        details["limits"] = verdict.to_json()
-        eta = ab5check.eta_surjective_decision(modulus, index)
-        cond_reach = eta.surjective
-        details["reach"] = eta.to_json()
-    diag = ab5check.diagonal_factorization(theory, index)
-    cond_diagonal = diag.verified
-    details["diagonal"] = diag.to_json()
-
-    agree = cond_limits == cond_reach == cond_diagonal
+    theory = AdditiveTheory(modulus, args.theory == "inf-add")
+    if theory.infinitary and not (index == OMEGA or index.is_finite):
+        raise ParseError("--set must be finite or w under inf-add; the "
+                         "reachability evidence runs on a concrete system")
+    row, evidence = ab5check.audit_point(theory, index, trials=args.trials,
+                                         seed=args.seed, section_trials=12)
 
     def word(b):
         return "holds" if b else "fails"
 
     lines = [f"seed: {args.seed}", f"theory: {theory.literal}",
              f"index: {format_ordinal(index)}",
-             f"  limit terms:    {word(cond_limits)}",
-             f"  reachability:   {word(cond_reach)}",
-             f"  diagonal:       {word(cond_diagonal)}",
-             f"equivalence: {'PASS' if agree else 'FAIL'} "
-             f"(conditions {'agree' if agree else 'disagree'})"]
+             f"  limit terms:    {word(row.cond_limits)}",
+             f"  reachability:   {word(row.cond_reach)}",
+             f"  diagonal:       {word(row.cond_diagonal)}",
+             f"equivalence: {'PASS' if row.agree else 'FAIL'} "
+             f"(conditions {'agree' if row.agree else 'disagree'})"]
     _emit(args, lines, {"command": "check ab5", "seed": args.seed,
                         "theory": theory.literal,
                         "index": format_ordinal(index),
-                        "conditions": {"limits": cond_limits,
-                                       "reach": cond_reach,
-                                       "diagonal": cond_diagonal},
-                        "agree": agree, "details": details})
-    return 0 if agree else 1
+                        "conditions": {"limits": row.cond_limits,
+                                       "reach": row.cond_reach,
+                                       "diagonal": row.cond_diagonal},
+                        "agree": row.agree,
+                        "details": {k: v.to_json()
+                                    for k, v in evidence.items()}})
+    return 0 if row.agree else 1
 
 
 def _cmd_check_refute(args) -> int:
@@ -303,6 +269,8 @@ def _load_system(path: str):
 
 def _cmd_diagram(args) -> int:
     if args.verb == "sample":
+        if args.mod < 1:
+            raise ParseError("the modulus must be at least 1")
         rng = random.Random(args.seed)
         system = sampling.random_system(rng, args.mod)
         print(f"seed: {args.seed}", file=sys.stderr)

@@ -35,6 +35,7 @@ from .instances import (
     Homomorphism,
     Submodule,
     is_regular_epi,
+    parse_instance,
     parse_theory,
     zero_module,
 )
@@ -509,26 +510,15 @@ def lim_to_prod_section_check(system: InverseSystem, *, trials: int = 20,
 # -- JSON form -------------------------------------------------------------------
 
 
-def _level_literal(level: FiniteMod) -> str:
-    return level.literal
-
-
 def _level_from_literal(text: str, theory) -> FiniteMod:
-    text = text.strip()
-    if text == "0":
-        shape = ()
-    else:
-        shape = []
-        for part in text.split("x"):
-            part = part.strip()
-            if not part.startswith("Z/"):
-                raise ParseError(f"expected Z/<n> or 0, got {part!r}")
-            try:
-                shape.append(int(part[2:]))
-            except ValueError:
-                raise ParseError(f"bad cyclic order in {part!r}") from None
-        shape = tuple(shape)
-    return FiniteMod(theory.modulus, shape, theory.infinitary)
+    level = parse_instance(text)
+    if not isinstance(level, FiniteMod):
+        raise ParseError(f"expected Z/<n> or 0, got {text.strip()!r}")
+    for m in level.shape:
+        if theory.modulus % m:
+            raise ParseError(f"component order {m} does not divide the "
+                             f"modulus {theory.modulus}")
+    return FiniteMod(theory.modulus, level.shape, theory.infinitary)
 
 
 def system_to_json(system: InverseSystem) -> dict:
@@ -541,7 +531,7 @@ def system_to_json(system: InverseSystem) -> dict:
     return {
         "index": idx,
         "theory": system.theory.literal,
-        "prefix": [_level_literal(l) for l in system.prefix],
+        "prefix": [level.literal for level in system.prefix],
         "tail": system.tail,
         "maps": maps,
     }
@@ -573,7 +563,10 @@ def system_from_json(data: dict, path: str = "diagram") -> InverseSystem:
     for i, text in enumerate(prefix_data):
         if not isinstance(text, str):
             raise ParseError(f"{path}.prefix[{i}]: expected a string literal")
-        levels.append(_level_from_literal(text, theory))
+        try:
+            levels.append(_level_from_literal(text, theory))
+        except ParseError as exc:
+            raise ParseError(f"{path}.prefix[{i}]: {exc}") from None
     maps_data = _field(data, "maps", path)
     if not isinstance(maps_data, list) or len(maps_data) != len(levels) - 1:
         raise ParseError(

@@ -1,11 +1,10 @@
 """Module instances: carriers on which terms are evaluated.
 
-Three concrete kinds plus submodules:
+Two concrete kinds plus submodules:
 
   FiniteMod(n, shape)   product of cyclic groups Z/shape[i] (each shape[i]
                         dividing n) with Z/n acting by multiplication;
                         elements are int tuples.
-  Product(components)   componentwise product of finite additive instances.
   FreeSymbolic(th, X)   the module of formal terms over X; operations build
                         term nodes, nothing is reduced.
   Submodule(parent, S)  a subset verified closed under all operations.
@@ -110,14 +109,17 @@ class FiniteMod(ModuleInstance):
     def zero(self):
         return (0,) * len(self.shape)
 
+    # tuple() over a list builds the tuple at its final size; over a
+    # generator it resizes it, and resized tuples pile up in CPython's
+    # per-size tuple free lists until a full garbage collection
     def add(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.shape))
+        return tuple([(x + y) % m for x, y, m in zip(a, b, self.shape)])
 
     def neg(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.shape))
+        return tuple([(-x) % m for x, m in zip(a, self.shape)])
 
     def scal(self, r, a):
-        return tuple((r * x) % m for x, m in zip(a, self.shape))
+        return tuple([(r * x) % m for x, m in zip(a, self.shape)])
 
     def elements(self):
         return [tuple(x) for x in itertools.product(*(range(m) for m in self.shape))]
@@ -179,69 +181,6 @@ class FiniteMod(ModuleInstance):
                            for c, m in zip(data, self.shape))):
             raise ParseError(f"bad element {data!r} for {self.literal}")
         return tuple(data)
-
-    def __str__(self):
-        return self.literal
-
-
-@dataclass(frozen=True)
-class Product(ModuleInstance):
-    """Componentwise product of finite additive instances."""
-
-    components: tuple
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("product needs at least one component")
-        flags = {c.theory.infinitary for c in self.components}
-        if len(flags) != 1:
-            raise TheoryMismatchError("components disagree on infinitary sums")
-
-    @property
-    def theory(self):
-        n = 1
-        for c in self.components:
-            n = n * c.theory.modulus // math.gcd(n, c.theory.modulus)
-        return AdditiveTheory(n, self.components[0].theory.infinitary)
-
-    is_finite = True
-
-    def zero(self):
-        return tuple(c.zero() for c in self.components)
-
-    def add(self, a, b):
-        return tuple(c.add(x, y) for c, x, y in zip(self.components, a, b))
-
-    def neg(self, a):
-        return tuple(c.neg(x) for c, x in zip(self.components, a))
-
-    def scal(self, r, a):
-        return tuple(c.scal(r, x) for c, x in zip(self.components, a))
-
-    def elements(self):
-        return [tuple(x) for x in itertools.product(
-            *(c.elements() for c in self.components))]
-
-    def contains(self, x):
-        return (isinstance(x, tuple) and len(x) == len(self.components)
-                and all(c.contains(v) for c, v in zip(self.components, x)))
-
-    @property
-    def literal(self):
-        return "prod(" + ", ".join(c.literal for c in self.components) + ")"
-
-    def format_element(self, x):
-        return "(" + ",".join(
-            c.format_element(v) for c, v in zip(self.components, x)) + ")"
-
-    def element_to_json(self, x):
-        return [c.element_to_json(v) for c, v in zip(self.components, x)]
-
-    def element_from_json(self, data):
-        if not isinstance(data, list) or len(data) != len(self.components):
-            raise ParseError(f"bad element {data!r} for {self.literal}")
-        return tuple(c.element_from_json(v)
-                     for c, v in zip(self.components, data))
 
     def __str__(self):
         return self.literal
@@ -558,11 +497,13 @@ def standard_battery():
 
 
 # -- instance literals -------------------------------------------------------
-#   Z/4        Z/2 x Z/4        free(add-inf mod 2, w)
+#   0        Z/4        Z/2 x Z/4        free(add-inf mod 2, w)
 
 
 def parse_instance(text: str):
     text = text.strip()
+    if text == "0":
+        return zero_module(1)
     if text.startswith("free(") and text.endswith(")"):
         inner = text[5:-1]
         try:
@@ -583,12 +524,7 @@ def parse_instance(text: str):
         if m < 1:
             raise ParseError(f"cyclic order must be >= 1: {p!r}")
         shape.append(m)
-    if not shape:
-        raise ParseError("empty instance literal")
-    n = 1
-    for m in shape:
-        n = n * m // math.gcd(n, m)
-    return FiniteMod(n, tuple(shape))
+    return FiniteMod(math.lcm(*shape), tuple(shape))
 
 
 def parse_theory(text: str):

@@ -160,52 +160,40 @@ class PwcSeq:
             lo = hi
         return PwcSeq._from_pieces(self.length, pieces)
 
-    def refine_against(self, other: "PwcSeq"):
-        """Pieces of self split at other's breakpoints: [(lo, hi, v_self, v_other)].
+    def clip(self, lo: Ordinal, hi: Ordinal):
+        """The pieces meeting [lo, hi), cut to it: [(a, b, v), ...].
 
-        Requires other.length >= self.length; other is only read below
-        self.length.
+        Stops at the piece that reaches hi.  The pieces tile, so the first
+        piece met starts at or below lo and every later one starts above it.
         """
-        if other.length < self.length:
-            raise LengthMismatchError(
-                f"refinement needs length >= {self.length}, got {other.length}")
         out = []
-        i = j = 0
-        lo = ZERO
-        while lo < self.length:
-            hi_i = self.breakpoints[i + 1]
-            hi_j = other.breakpoints[j + 1]
-            hi = hi_i if hi_i < hi_j else hi_j
-            out.append((lo, hi, self.values[i], other.values[j]))
-            if hi == hi_i:
-                i += 1
-            if hi == hi_j:
-                j += 1
-            lo = hi
+        if not lo < hi:
+            return out
+        for slo, shi, v in self.pieces():
+            if not out and not lo < shi:
+                continue
+            start = slo if out else lo
+            if shi < hi:
+                out.append((start, shi, v))
+            else:
+                out.append((start, hi, v))
+                break
         return out
 
     def prefix(self, b: Ordinal) -> "PwcSeq":
         """Restriction to [0, b); requires b <= length."""
         if self.length < b:
             raise IndexOutOfRangeError(f"prefix {b} > length {self.length}")
-        pieces = []
-        for lo, hi, v in self.pieces():
-            if not lo < b:
-                break
-            pieces.append((lo, hi if hi < b else b, v))
-        return PwcSeq._from_pieces(b, pieces)
+        return PwcSeq._from_pieces(b, self.clip(ZERO, b))
 
     def final_segment(self, b: Ordinal) -> "PwcSeq":
         """Restriction to [b, length), reindexed to start at 0; needs b < length."""
         if not b < self.length:
             raise IndexOutOfRangeError(f"segment start {b} >= length {self.length}")
-        pieces = []
-        for lo, hi, v in self.pieces():
-            if not b < hi:
-                continue
-            start = lo if b < lo else b
-            pieces.append((left_subtract(b, start), left_subtract(b, hi), v))
-        return PwcSeq._from_pieces(left_subtract(b, self.length), pieces)
+        return PwcSeq._from_pieces(
+            left_subtract(b, self.length),
+            [(left_subtract(b, lo), left_subtract(b, hi), v)
+             for lo, hi, v in self.clip(b, self.length)])
 
     def concat(self, other: "PwcSeq") -> "PwcSeq":
         """Self on [0, len(self)), then other shifted to start at len(self)."""

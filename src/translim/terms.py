@@ -201,17 +201,6 @@ def replace_index(t, s):
     return t
 
 
-def _intersections(lo, hi, seq: PwcSeq):
-    """Pieces of seq clipped to [lo, hi)."""
-    out = []
-    for slo, shi, v in seq.pieces():
-        a = lo if slo < lo else slo
-        b = hi if hi < shi else shi
-        if a < b:
-            out.append((a, b, v))
-    return out
-
-
 # -- substitution (the monad multiplication) -----------------------------------
 
 
@@ -252,7 +241,7 @@ def substitute_family(fam: PwcSeq, sigma: PwcSeq) -> PwcSeq:
                 raise UnboundVariableError(
                     f"family positions up to {format_ordinal(hi)} exceed the "
                     f"assignment length {format_ordinal(sigma.length)}")
-            for lo2, hi2, sval in _intersections(lo, hi, sigma):
+            for lo2, hi2, sval in sigma.clip(lo, hi):
                 pieces.append((lo2, hi2, replace_index(body, sval)))
         else:
             pieces.append((lo, hi, body))
@@ -367,23 +356,12 @@ def eval_family(fam: PwcSeq, module, assignment: PwcSeq) -> PwcSeq:
                 raise UnboundVariableError(
                     f"family positions up to {format_ordinal(hi)} exceed the "
                     f"assignment length {format_ordinal(assignment.length)}")
-            for lo2, hi2, bound in _intersections(lo, hi, assignment):
+            for lo2, hi2, bound in assignment.clip(lo, hi):
                 pieces.append((lo2, hi2,
                                evaluate(t, module, assignment, _bound=bound)))
         else:
             pieces.append((lo, hi, evaluate(t, module, assignment)))
     return PwcSeq._from_pieces(fam.length, pieces)
-
-
-def free_extension(images: PwcSeq, module):
-    """The evaluator t -> evaluate(t, module, images).
-
-    This is the unique structure-respecting extension of the point map
-    x -> images(x) from variables to all terms.
-    """
-    def extend(term):
-        return evaluate(term, module, images)
-    return extend
 
 
 def check_term(theory, term, variable_limit: Ordinal | None = None):

@@ -189,6 +189,37 @@ def test_check_ab5_trivial_ring_finitary(capsys):
     assert "  limit terms:    holds" in out.splitlines()
 
 
+@pytest.mark.parametrize("argv,limits,reach", [
+    (("--ring", "3", "--set", "4"),
+     {"passed": True, "trials": 100, "term": "(lim 4 [0,4)->idx)"},
+     {"levels_checked": 4, "passed": True, "trials": 12, "witness": None}),
+    (("--ring", "3", "--set", "4", "--theory", "fin-add"),
+     {"exists": True, "witness_term": "x3"},
+     {"certificate": {"kind": "finite-index", "support_bound": 4},
+      "index": "4", "modulus": 3, "surjective": True}),
+    (("--mod", "1", "--set", "w", "--theory", "inf-add"),
+     {"passed": True, "trials": 100, "instance": "Z/1"},
+     {"levels_checked": 2, "passed": True, "trials": 12, "witness": None}),
+], ids=["inf-finite-index", "fin-finite-index", "inf-trivial-ring"])
+def test_check_ab5_conditions_hold(capsys, argv, limits, reach):
+    code, out, _ = run_cli(capsys, "check", "ab5", *argv)
+    assert code == 0
+    assert out.splitlines()[3:] == ["  limit terms:    holds",
+                                    "  reachability:   holds",
+                                    "  diagonal:       holds",
+                                    "equivalence: PASS (conditions agree)"]
+    code, out, _ = run_cli(capsys, "check", "ab5", *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["conditions"] == {"limits": True, "reach": True,
+                                     "diagonal": True}
+    assert payload["agree"] is True
+    details = payload["details"]
+    assert {k: details["limits"][k] for k in limits} == limits
+    assert details["reach"] == reach
+    assert details["diagonal"]["verified"] is True
+
+
 def test_check_ab5_usage_errors(capsys):
     code, _, err = run_cli(capsys, "check", "ab5")
     assert code == 2 and "one of --ring or --mod" in err
@@ -306,6 +337,46 @@ def test_diagram_check_bad_field(capsys, tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     code, _, err = run_cli(capsys, "diagram", "check", str(path))
     assert code == 2 and "missing field 'index'" in err
+
+
+# -- usage errors --------------------------------------------------------------
+
+BAD_LEVEL = "bad-level:"  # argv placeholder for a diagram file with that level
+
+
+def _diagram_with_level(tmp_path, level) -> str:
+    path = tmp_path / "bad-level.json"
+    path.write_text(json.dumps({
+        "index": "w", "theory": "add-inf mod 2", "prefix": ["Z/2", level],
+        "tail": "constant", "maps": [[[[0], [0]], [[1], [1]]]]}),
+        encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (("diagram", "sample", "--mod", "0"), "the modulus must be at least 1"),
+    (("diagram", "sample", "--mod", "-3"), "the modulus must be at least 1"),
+    (("diagram", "check", BAD_LEVEL + "Z/3"),
+     "diagram.prefix[1]: component order 3 does not divide the modulus 2"),
+    (("diagram", "check", BAD_LEVEL + "Z/0"),
+     "diagram.prefix[1]: cyclic order must be >= 1"),
+    (("diagram", "check", BAD_LEVEL + "free(add-inf mod 2, w)"),
+     "diagram.prefix[1]: expected Z/<n> or 0"),
+    (("check", "ab5", "--ring", "2", "--set", "w*2"), "finite or w"),
+    (("check", "refute", "--mod", "0"), "the modulus must be at least 1"),
+    (("check", "limterm", "--alpha", "w", "--trials", "-1"),
+     "--trials must be at least 0"),
+    (("check", "ab5", "--ring", "2", "--trials", "-1"),
+     "--trials must be at least 0"),
+], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
+        "level-order-0", "level-free", "ab5-set-w2", "refute-mod-0",
+        "limterm-trials", "ab5-trials"])
+def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):
+    argv = [_diagram_with_level(tmp_path, a[len(BAD_LEVEL):])
+            if a.startswith(BAD_LEVEL) else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and needle in err
 
 
 # -- suite -------------------------------------------------------------------

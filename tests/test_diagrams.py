@@ -1,8 +1,11 @@
 """Inverse systems: limits, morphisms, extension by zero, JSON form."""
 
 import json
+import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from translim import (
     OMEGA,
@@ -36,6 +39,7 @@ from translim.diagrams import (
     system_to_json,
 )
 from translim.errors import HomomorphismValidationError
+from translim.sampling import random_system
 
 Z4 = parse_instance("Z/4")
 Z2m4 = FiniteMod(4, (2,))  # Z/2 carried as a module over Z/4
@@ -309,6 +313,15 @@ def test_system_json_round_trip():
     assert system_from_json(data) == capped
     fin = InverseSystem(from_int(2), (Z4, Z4), (MULT2,), None)
     assert system_from_json(json.loads(json.dumps(system_to_json(fin)))) == fin
+
+
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_sampled_system_json_round_trip(modulus, infinitary, seed):
+    system = random_system(random.Random(seed), modulus,
+                           infinitary=infinitary)
+    data = json.loads(json.dumps(system_to_json(system)))
+    assert system_from_json(data) == system
 
 
 @pytest.mark.parametrize("mangle,needle", [

@@ -1,8 +1,10 @@
 """Module instances, homomorphism verification, and instance literals."""
 
+import math
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import battery_modules
 
@@ -17,13 +19,13 @@ from translim import (
     Homomorphism,
     InfiniteCarrierError,
     ParseError,
-    Product,
     PwcSeq,
     Submodule,
     Sum,
     TheoryMismatchError,
     UnboundVariableError,
     ZERO_TERM,
+    evaluate,
     from_int,
     image,
     is_regular_epi,
@@ -130,30 +132,6 @@ def test_infinitary_sum_partiality():
     assert Z4.infinitary_sum(PwcSeq.constant((0,), OMEGA)) == (0,)
     with pytest.raises(DivergentSumError):
         Z4.infinitary_sum(PwcSeq.constant((2,), OMEGA))
-
-
-# -- Product ---------------------------------------------------------------------
-
-def test_product_structure():
-    p = Product((Z2, Z4))
-    assert p.theory == AdditiveTheory(4)
-    assert p.zero() == ((0,), (0,))
-    assert p.add(((1,), (3,)), ((1,), (2,))) == ((0,), (1,))
-    assert p.scal(2, ((1,), (3,))) == ((0,), (2,))
-    assert p.size == 8
-    assert p.literal == "prod(Z/2, Z/4)"
-    assert p.format_element(((1,), (2,))) == "(1,2)"
-    x = ((1,), (2,))
-    assert p.element_from_json(p.element_to_json(x)) == x
-    with pytest.raises(ParseError):
-        p.element_from_json([[1]])
-
-
-def test_product_rejects_mixed_summability():
-    with pytest.raises(TheoryMismatchError):
-        Product((Z2, FiniteMod(4, (4,), infinitary=False)))
-    with pytest.raises(ValueError):
-        Product(())
 
 
 # -- Submodule --------------------------------------------------------------------
@@ -284,9 +262,11 @@ def test_homomorphism_equality():
 
 def test_free_extension_map():
     free = FreeSymbolic(AdditiveTheory(4), from_int(2))
-    f = Homomorphism.free_extension_map(free, Z4, PwcSeq.from_tuple(((1,), (2,))))
+    images = PwcSeq.from_tuple(((1,), (2,)))
+    f = Homomorphism.free_extension_map(free, Z4, images)
     assert f(var(0)) == (1,)
-    assert f(App("+", (var(0), scal(2, var(1))))) == (1,)
+    t = App("+", (var(0), scal(2, var(1))))
+    assert f(t) == (1,) == evaluate(t, Z4, images)
     with pytest.raises(HomomorphismValidationError):
         Homomorphism.free_extension_map(free, Z4, PwcSeq.from_tuple(((1,),)))
     wide = FreeSymbolic(AdditiveTheory(2), OMEGA)
@@ -326,6 +306,13 @@ def test_parse_instance_examples():
 def test_instance_literal_round_trip():
     for m in standard_battery():
         assert parse_instance(m.literal) == m
+
+
+@given(st.lists(st.integers(1, 12), max_size=3))
+@example([])
+def test_finite_literal_round_trip(shape):
+    m = FiniteMod(math.lcm(*shape), tuple(shape))
+    assert parse_instance(m.literal) == m
 
 
 @pytest.mark.parametrize("text", [

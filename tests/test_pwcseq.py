@@ -87,6 +87,26 @@ def test_value_respects_restriction(mf):
         assert back.value_at(ZERO) == fam.value_at(b)
 
 
+@given(pwc_over(max_cuts=5))
+@settings(max_examples=60)
+def test_clip_tiles_the_window(mf):
+    module, fam = mf
+    bounds = [ZERO] + sample_points_below(fam.length) + [fam.length]
+    for lo in bounds:
+        for hi in bounds:
+            clipped = fam.clip(lo, hi)
+            if not lo < hi:
+                assert clipped == []
+                continue
+            assert clipped[0][0] == lo and clipped[-1][1] == hi
+            for (_, b, _), (a, _, _) in zip(clipped, clipped[1:]):
+                assert b == a
+            assert [b for _, b, _ in clipped[:-1]] == [
+                x for x in fam.breakpoints if lo < x < hi]
+            for a, b, v in clipped:
+                assert a < b and v == fam.value_at(a)
+
+
 @given(pwc_over(), pwc_over())
 @settings(max_examples=60)
 def test_zip_map_pointwise(mf, mg):
@@ -101,15 +121,6 @@ def test_zip_map_pointwise(mf, mg):
     for p in probes:
         if p < fam.length:
             assert z.value_at(p) == (fam.value_at(p), other.value_at(p))
-
-
-def test_refine_against_requires_cover():
-    a = seq("[0,w)->1")
-    b = seq("[0,2)->5")
-    with pytest.raises(LengthMismatchError):
-        a.refine_against(b)
-    refined = b.refine_against(a)
-    assert refined == [(ZERO, from_int(2), 5, 1)]
 
 
 def test_from_support_and_back():

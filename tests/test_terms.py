@@ -43,7 +43,6 @@ from translim.terms import (
     app,
     collapse_to_one,
     eval_family,
-    free_extension,
     mentions_index,
     variable_support,
 )
@@ -310,13 +309,6 @@ def test_evaluate_unbound_errors():
         evaluate(INDEX, Z4, a)
     with pytest.raises(UnboundVariableError):
         eval_family(basis_family(OMEGA), Z4, a)
-
-
-def test_free_extension_agrees_with_evaluate():
-    images = PwcSeq.from_tuple(((1,), (2,)))
-    ext = free_extension(images, Z4)
-    t = app("+", var(0), scal(2, var(1)))
-    assert ext(t) == evaluate(t, Z4, images)
 
 
 # -- substitution -------------------------------------------------------------------
