@@ -278,11 +278,8 @@ def extend_by_zero_comparison(module, beta_lo: Ordinal, beta_hi: Ordinal,
         raise IndexOutOfRangeError("the comparison goes from the smaller cut")
     source = extend_by_zero_system(module, beta_lo, alpha)
     target = extend_by_zero_system(module, beta_hi, alpha)
-    need = source.height
-    if alpha == OMEGA:
-        need = max(source.height, target.height)
     homs = []
-    for j in range(need):
+    for j in range(_stored_level_maps(source, target)):
         s_lvl, t_lvl = source.level(j), target.level(j)
         if s_lvl == t_lvl:
             homs.append(Homomorphism.identity(s_lvl))
@@ -294,12 +291,23 @@ def extend_by_zero_comparison(module, beta_lo: Ordinal, beta_hi: Ordinal,
 # -- morphisms of systems --------------------------------------------------------
 
 
+def _stored_level_maps(source: InverseSystem, target: InverseSystem) -> int:
+    """Level maps a morphism stores: one per level of the taller prefix over
+    omega (the last repeats beyond it), one per level of a finite system."""
+    if source.index == OMEGA:
+        return max(source.height, target.height)
+    return source.height
+
+
 class SystemMorphism:
     """A levelwise map of systems with every naturality square verified.
 
     Both systems continue periodically beyond their prefixes and the last
     level map is repeated with them, so checking squares up to one step
-    past the taller prefix checks them all.
+    past the taller prefix checks them all.  Each square is checked on the
+    generators of its upper source level: both ways round it are
+    homomorphisms, and homomorphisms that agree on generators agree
+    everywhere.
     """
 
     __slots__ = ("source", "target", "homs")
@@ -307,9 +315,7 @@ class SystemMorphism:
     def __init__(self, source: InverseSystem, target: InverseSystem, homs):
         if source.index != target.index:
             raise ParseError("systems over different index shapes")
-        need = max(source.height, target.height)
-        if source.index != OMEGA:
-            need = source.height
+        need = _stored_level_maps(source, target)
         if len(homs) != need:
             raise ParseError(f"need {need} level maps, got {len(homs)}")
         self.source = source
@@ -323,7 +329,7 @@ class SystemMorphism:
         for j in range(top):
             h_lo, h_hi = self.hom_at(j), self.hom_at(j + 1)
             m_src, m_tgt = source.map_at(j), target.map_at(j)
-            for x in source.level(j + 1).elements():
+            for x in source.level(j + 1).generators():
                 if h_lo(m_src(x)) != m_tgt(h_hi(x)):
                     raise HomomorphismValidationError(
                         f"square {j} does not commute", (j, x))
@@ -335,11 +341,14 @@ class SystemMorphism:
             raise IndexOutOfRangeError(f"level map {j} of a finite morphism")
         return self.homs[-1]
 
+    def first_non_epi_level(self) -> int | None:
+        """The first level whose map is not surjective, or None.  Past the
+        stored maps hom_at only repeats the last one."""
+        return next((j for j, h in enumerate(self.homs)
+                     if not is_regular_epi(h)), None)
+
     def levelwise_epi(self) -> bool:
-        top = len(self.homs)
-        if self.source.index != OMEGA:
-            top = len(self.homs) - 1
-        return all(is_regular_epi(self.hom_at(j)) for j in range(top + 1))
+        return self.first_non_epi_level() is None
 
 
 def induced_limit_map(phi: SystemMorphism, max_depth: int = 32) -> Homomorphism:
@@ -363,10 +372,8 @@ def compose_system_morphisms(second: SystemMorphism,
     if first.target != second.source:
         raise ParseError("morphisms do not compose: middle systems differ")
     source, target = first.source, second.target
-    need = max(source.height, target.height)
-    if source.index != OMEGA:
-        need = source.height
-    homs = tuple(second.hom_at(j).after(first.hom_at(j)) for j in range(need))
+    homs = tuple(second.hom_at(j).after(first.hom_at(j))
+                 for j in range(_stored_level_maps(source, target)))
     return SystemMorphism(source, target, homs)
 
 
@@ -394,9 +401,8 @@ def check_inverse_limit_surjectivity(phi: SystemMorphism,
     Raises LevelwiseNotEpiError when the input is not levelwise surjective;
     the question only concerns regular epimorphisms of systems.
     """
-    if not phi.levelwise_epi():
-        bad = next(j for j in range(len(phi.homs))
-                   if not is_regular_epi(phi.hom_at(j)))
+    bad = phi.first_non_epi_level()
+    if bad is not None:
         raise LevelwiseNotEpiError(f"level map {bad} is not surjective")
     ls = limit_object(phi.source, max_depth)
     lt = limit_object(phi.target, max_depth)

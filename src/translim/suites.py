@@ -16,7 +16,7 @@ import random
 from . import ab5check, diagrams, sampling, transfinite
 from .errors import DivergentSumError, LevelwiseNotEpiError
 from .instances import FiniteMod, Homomorphism, standard_battery
-from .ordinal import OMEGA, Ordinal, ZERO, format_ordinal, from_int, parse_ordinal
+from .ordinal import OMEGA, ZERO, format_ordinal, from_int, parse_ordinal
 from .pwcseq import PwcSeq, format_pwc
 from .reports import SuiteReport, case
 from .terms import App, evaluate, format_term, scal, var

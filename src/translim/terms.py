@@ -29,7 +29,7 @@ audited in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     IndexOutOfRangeError,

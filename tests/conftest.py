@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 
-from translim import FiniteMod, PwcSeq, ZERO, from_int, omega_power, standard_battery
+from translim import PwcSeq, ZERO, from_int, omega_power, standard_battery
 
 
 def ordinals(max_depth: int = 2, max_terms: int = 3, max_coeff: int = 3):

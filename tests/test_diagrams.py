@@ -39,7 +39,7 @@ from translim.diagrams import (
     system_to_json,
 )
 from translim.errors import HomomorphismValidationError
-from translim.sampling import random_system
+from translim.sampling import random_hom, random_system
 
 Z4 = parse_instance("Z/4")
 Z2m4 = FiniteMod(4, (2,))  # Z/2 carried as a module over Z/4
@@ -47,6 +47,7 @@ Z2m4 = FiniteMod(4, (2,))  # Z/2 carried as a module over Z/4
 IDENT = Homomorphism.identity(Z4)
 MULT2 = Homomorphism.from_generator_images(Z4, Z4, [(2,)])
 MOD2 = Homomorphism.from_function(Z4, Z2m4, lambda x: (x[0] % 2,))
+ZERO4 = Homomorphism.zero_map(Z4, Z4)
 
 
 def constant_system(module, levels=1):
@@ -227,6 +228,46 @@ def test_morphism_checks_one_step_past_the_prefix():
         SystemMorphism(src, tgt, (IDENT, IDENT))
 
 
+def squares_commute_on_elements(source, target, homs):
+    """Every square up to one step past the stored maps, on every element
+    of its upper source level (the old check)."""
+    def hom_at(j):
+        return homs[min(j, len(homs) - 1)]
+    return all(hom_at(j)(source.map_at(j)(x))
+               == target.map_at(j)(hom_at(j + 1)(x))
+               for j in range(len(homs))
+               for x in source.level(j + 1).elements())
+
+
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_square_check_on_generators_matches_the_elementwise_check(
+        modulus, same, seed):
+    rng = random.Random(seed)
+    source = random_system(rng, modulus)
+    target = source if same else random_system(rng, modulus)
+    homs = []
+    for j in range(max(source.height, target.height)):
+        s_lvl, t_lvl = source.level(j), target.level(j)
+        kind = rng.choice(("scalar", "zero", "random"))
+        if kind == "scalar" and s_lvl == t_lvl:
+            # multiplication by r is natural for every system
+            r = rng.randrange(modulus)
+            homs.append(Homomorphism.from_function(
+                s_lvl, t_lvl, lambda x, m=s_lvl, r=r: m.scal(r, x)))
+        elif kind == "zero":
+            homs.append(Homomorphism.zero_map(s_lvl, t_lvl))
+        else:
+            homs.append(random_hom(rng, s_lvl, t_lvl))
+    try:
+        SystemMorphism(source, target, tuple(homs))
+    except HomomorphismValidationError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == squares_commute_on_elements(source, target, homs)
+
+
 def test_morphism_level_access_and_epi():
     src = constant_system(Z4)
     phi = SystemMorphism(src, src, (MULT2,))
@@ -238,6 +279,12 @@ def test_morphism_level_access_and_epi():
     psi = SystemMorphism(fin, fin, (IDENT, IDENT))
     with pytest.raises(IndexOutOfRangeError):
         psi.hom_at(2)
+    assert phi.first_non_epi_level() == 0
+    assert ident_phi.first_non_epi_level() is None
+    killed = InverseSystem(from_int(2), (Z4, Z4), (ZERO4,), None)
+    fin_phi = SystemMorphism(killed, killed, (IDENT, MULT2))
+    assert fin_phi.first_non_epi_level() == 1
+    assert not fin_phi.levelwise_epi()
 
 
 def test_induced_limit_map_functoriality():
@@ -267,8 +314,12 @@ def test_limit_surjectivity_of_quotient():
 def test_limit_surjectivity_requires_levelwise_epi():
     src = constant_system(Z4)
     phi = SystemMorphism(src, src, (MULT2,))
-    with pytest.raises(LevelwiseNotEpiError):
+    with pytest.raises(LevelwiseNotEpiError, match="level map 0 "):
         check_inverse_limit_surjectivity(phi)
+    killed = InverseSystem(OMEGA, (Z4, Z4), (ZERO4,), "constant")
+    psi = SystemMorphism(killed, killed, (IDENT, MULT2))
+    with pytest.raises(LevelwiseNotEpiError, match="level map 1 "):
+        check_inverse_limit_surjectivity(psi)
 
 
 # -- the retraction ---------------------------------------------------------------------

@@ -38,12 +38,75 @@ from translim import (
     zero_module,
 )
 from translim.errors import HomomorphismValidationError
-from translim.instances import elements as carrier_elements
-from translim.instances import infinitary_sum
 
 Z2 = parse_instance("Z/2")
 Z4 = parse_instance("Z/4")
 Z2xZ4 = parse_instance("Z/2 x Z/4")
+
+
+# -- exhaustive references: every law on every element ------------------------
+
+def exhaustive_hom_laws(dom, cod, f):
+    """The four-law table check, one loop per law (the old verifier)."""
+    elems = dom.elements()
+    if any(x not in f or not cod.contains(f[x]) for x in elems):
+        return False
+    if f[dom.zero()] != cod.zero():
+        return False
+    for x in elems:
+        if f[dom.neg(x)] != cod.neg(f[x]):
+            return False
+        for r in range(dom.theory.modulus):
+            if f[dom.scal(r, x)] != cod.scal(r, f[x]):
+                return False
+        for y in elems:
+            if f[dom.add(x, y)] != cod.add(f[x], f[y]):
+                return False
+    return True
+
+
+def three_law_closure(parent, carrier):
+    """Zero, then closure under negation, every scalar and + (the old check)."""
+    cs = set(carrier)
+    if parent.zero() not in cs:
+        return False
+    return all(parent.neg(x) in cs
+               and all(parent.scal(r, x) in cs
+                       for r in range(parent.theory.modulus))
+               and all(parent.add(x, y) in cs for y in carrier)
+               for x in carrier)
+
+
+def span(module, elems):
+    """Closure of elems and zero under +: the submodule they generate."""
+    out = {module.zero()}
+    frontier = list(elems)
+    while frontier:
+        x = frontier.pop()
+        if x not in out:
+            out.add(x)
+            frontier += [module.add(x, y) for y in list(out)]
+    return tuple(sorted(out))
+
+
+@st.composite
+def finite_mods(draw, max_size=16, min_size=1, modulus=None):
+    """FiniteMod over Z/n (n <= 8 unless given), shapes of divisors (1s
+    included) with min_size to max_size elements; min_size=1 admits the
+    zero module."""
+    n = modulus or draw(st.integers(1, 8))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    shape = draw(st.lists(st.sampled_from(divisors), max_size=3).filter(
+        lambda sh: min_size <= math.prod(sh) <= max_size))
+    return FiniteMod(n, tuple(shape))
+
+
+def _accepts(build):
+    try:
+        build()
+    except (HomomorphismValidationError, ValueError):
+        return False
+    return True
 
 
 # -- FiniteMod -----------------------------------------------------------------
@@ -68,6 +131,19 @@ def test_finite_mod_operations():
     assert m.contains((1, 3)) and not m.contains((2, 0))
     assert not m.contains((1,))
     assert m.generators() == [(1, 0), (0, 1)]
+    assert FiniteMod(2, (1, 2)).generators() == [(0, 0), (0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_mods(max_size=64))
+@example(FiniteMod(1, ()))
+@example(FiniteMod(2, (1, 2)))
+@example(FiniteMod(6, (1, 1, 3)))
+def test_generators_are_elements_and_generate(m):
+    gens = m.generators()
+    assert len(gens) == len(m.shape)
+    assert all(m.contains(g) for g in gens)
+    assert span(m, gens) == tuple(sorted(m.elements()))
 
 
 def test_finite_mod_apply_dispatch():
@@ -128,7 +204,6 @@ def test_infinitary_sum_partiality():
     tail_zero = PwcSeq.from_pieces(
         [(ZERO, from_int(3), (1,)), (from_int(3), OMEGA, (0,))])
     assert Z4.infinitary_sum(tail_zero) == (3,)
-    assert infinitary_sum(Z4, tail_zero) == (3,)
     assert Z4.infinitary_sum(PwcSeq.constant((0,), OMEGA)) == (0,)
     with pytest.raises(DivergentSumError):
         Z4.infinitary_sum(PwcSeq.constant((2,), OMEGA))
@@ -149,6 +224,19 @@ def test_submodule_closure_checked():
         Submodule(Z4, ((1,), (3,)))  # no zero
 
 
+@settings(max_examples=150, deadline=None)
+@given(finite_mods(min_size=2), st.data())
+def test_submodule_check_matches_the_three_law_closure(m, data):
+    elems = st.sampled_from(m.elements())
+    picked = data.draw(st.lists(elems, min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        carrier = span(m, picked)  # a submodule
+    else:
+        carrier = tuple(sorted(set(picked) | {m.zero()}))
+    assert _accepts(lambda: Submodule(m, carrier)) == \
+        three_law_closure(m, carrier)
+
+
 # -- FreeSymbolic -------------------------------------------------------------------
 
 def test_free_symbolic_formal_operations():
@@ -165,8 +253,6 @@ def test_free_symbolic_formal_operations():
     assert s == Sum(OMEGA, PwcSeq.constant(var(1), OMEGA))
     with pytest.raises(InfiniteCarrierError):
         free.elements()
-    with pytest.raises(InfiniteCarrierError):
-        carrier_elements(free)
 
 
 def test_free_symbolic_finitary_has_no_sum():
@@ -224,6 +310,82 @@ def test_homomorphism_validation_reports_witness():
         assert exc.witness is not None
     else:
         pytest.fail("broken table accepted")
+
+
+def linear_table(dom, cod, images, elems):
+    """x -> sum of x_i * images[i]; ill-defined images give a broken table."""
+    table = {}
+    for x in elems:
+        acc = cod.zero()
+        for c, g in zip(x, images):
+            acc = cod.add(acc, cod.scal(c, g))
+        table[x] = acc
+    return table
+
+
+@st.composite
+def tables(draw, dom, cod, elems):
+    """Tables on elems into cod: linear extensions of random generator images
+    of dom (some ill-defined) or random values, then maybe one entry broken:
+    a new value, a missing key or a value outside the codomain."""
+    values = st.sampled_from(cod.elements())
+    if draw(st.booleans()):
+        images = [draw(values) for _ in dom.shape]
+        table = linear_table(dom, cod, images, elems)
+    else:
+        table = {x: draw(values) for x in elems}
+    x = draw(st.sampled_from(elems))
+    breakage = draw(st.sampled_from(("none", "value", "missing", "outside")))
+    if breakage == "value":
+        table[x] = draw(values)
+    elif breakage == "missing":
+        del table[x]
+    elif breakage == "outside":
+        table[x] = tuple(c + m for c, m in zip(draw(values), cod.shape))
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hom_check_matches_the_exhaustive_laws(data):
+    dom = data.draw(st.one_of(finite_mods(), finite_mods(min_size=2)))
+    cod = data.draw(finite_mods(modulus=dom.modulus))
+    table = data.draw(tables(dom, cod, dom.elements()))
+    assert _accepts(lambda: Homomorphism(dom, cod, table=table)) == \
+        exhaustive_hom_laws(dom, cod, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hom_check_on_image_domains_matches_the_exhaustive_laws(data):
+    m = data.draw(finite_mods(min_size=2))
+    r = data.draw(st.integers(1, m.modulus))
+    sub, _ = image(Homomorphism.from_function(m, m, lambda x: m.scal(r, x)))
+    cod = data.draw(finite_mods(modulus=m.modulus))
+    # linear tables of m restricted to the image are homomorphisms whenever
+    # they are well defined on it
+    table = data.draw(tables(m, cod, sub.elements()))
+    assert _accepts(lambda: Homomorphism(sub, cod, table=table)) == \
+        exhaustive_hom_laws(sub, cod, table)
+
+
+@pytest.mark.parametrize("shape", [(256,), (16, 16), (2,) * 8])
+def test_from_generator_images_is_linear_in_the_carrier(monkeypatch, shape):
+    level = FiniteMod(math.lcm(*shape), shape)
+    ops = [0]
+    for name in ("zero", "add", "neg", "scal", "contains"):
+        method = getattr(FiniteMod, name)
+
+        def counted(*args, method=method):
+            ops[0] += 1
+            return method(*args)
+
+        monkeypatch.setattr(FiniteMod, name, counted)
+    f = Homomorphism.from_generator_images(level, level, level.generators())
+    monkeypatch.undo()
+    assert f == Homomorphism.identity(level)
+    assert level.size == 256
+    assert ops[0] <= 8 * level.size * len(shape)
 
 
 def test_from_generator_images():

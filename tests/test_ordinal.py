@@ -1,12 +1,10 @@
 import pytest
 from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from translim import (
     OMEGA,
     ONE,
     ZERO,
-    Ordinal,
     OrdinalUnderflowError,
     ParseError,
     format_ordinal,

@@ -4,7 +4,6 @@ import jsonschema
 import pytest
 
 from translim import (
-    CaseResult,
     SuiteReport,
     ab5_suite,
     diagrams_suite,

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import battery_modules, ordinals
+from conftest import battery_modules
 
 from translim import (
     INDEX,

@@ -20,7 +20,6 @@ from translim import (
     LengthMismatchError,
     Lim,
     PwcSeq,
-    Sum,
     TheoryMismatchError,
     TranslimError,
     UnboundVariableError,
