@@ -5,12 +5,11 @@ The public surface re-exports the working vocabulary; the submodules stay
 importable for the long tail (sampling, suites, cli).
 """
 
-from .errors import (DepthExceededError, DivergentSumError,
-                     HomomorphismValidationError, IndexOutOfRangeError,
-                     InfiniteCarrierError, InvalidAlphaError,
-                     LengthMismatchError, LevelwiseNotEpiError,
-                     OrdinalUnderflowError, ParseError, TheoryMismatchError,
-                     TranslimError, UnboundVariableError)
+from .errors import (DivergentSumError, HomomorphismValidationError,
+                     IndexOutOfRangeError, InfiniteCarrierError,
+                     InvalidAlphaError, LengthMismatchError,
+                     LevelwiseNotEpiError, OrdinalUnderflowError, ParseError,
+                     TheoryMismatchError, TranslimError, UnboundVariableError)
 from .ordinal import (OMEGA, ONE, ZERO, Ordinal, format_ordinal, from_int,
                       left_subtract, omega_power, parse_ordinal,
                       sample_points_below)

@@ -4,7 +4,7 @@ One binary with subcommands: an ordinal calculator, a term evaluator,
 limit/summation term runners, named checks, diagram file tooling, and the
 suite runner.  Output is plain text unless --json is given; identical argv
 plus seed produce identical bytes.  Exit codes: 0 success, 1 check failure,
-2 usage or parse error.
+2 usage or parse error (input nested past the recursion limit included).
 
 Seed echoing: subcommands that consume randomness (check, suite, diagram
 sample) always state their seed.  The pure calculator subcommands take no
@@ -455,6 +455,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: input nests deeper than the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 2
     except TranslimError as exc:
         print(f"check failed: {exc.__class__.__name__}: {exc}",

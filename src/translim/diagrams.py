@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
-    DepthExceededError,
     HomomorphismValidationError,
     IndexOutOfRangeError,
     InfiniteCarrierError,
@@ -172,12 +171,13 @@ class LimitObject:
                 f"carrier={self.carrier.literal})")
 
 
-def limit_object(system: InverseSystem, max_depth: int = 32) -> LimitObject:
+def limit_object(system: InverseSystem) -> LimitObject:
     """Compute the limit of the system as a LimitObject.
 
     For omega-systems the image chain of the tail endomorphism is iterated
-    until it stabilizes; the number of steps is the reported depth and
-    exceeding max_depth raises DepthExceededError.
+    until it stabilizes; the number of steps is the reported depth.  The
+    chain is a chain of subgroups and each strict step at least halves the
+    size, so the depth is at most log2 of the size of the top level.
     """
     top = system.prefix[-1]
     anchor = system.height - 1
@@ -196,9 +196,6 @@ def limit_object(system: InverseSystem, max_depth: int = 32) -> LimitObject:
         if nxt == current:
             break
         depth += 1
-        if depth > max_depth:
-            raise DepthExceededError(
-                f"image chain still shrinking after {max_depth} steps")
         current = nxt
     carrier = Submodule(top, tuple(sorted(current)))
     lift = {endo(x): x for x in current}
@@ -351,7 +348,7 @@ class SystemMorphism:
         return self.first_non_epi_level() is None
 
 
-def induced_limit_map(phi: SystemMorphism, max_depth: int = 32) -> Homomorphism:
+def induced_limit_map(phi: SystemMorphism) -> Homomorphism:
     """The map the morphism induces between the two limits.
 
     A source thread is sent to the target thread whose anchor value is the
@@ -359,8 +356,8 @@ def induced_limit_map(phi: SystemMorphism, max_depth: int = 32) -> Homomorphism:
     this as a verified Homomorphism also certifies that thread images are
     threads.
     """
-    ls = limit_object(phi.source, max_depth)
-    lt = limit_object(phi.target, max_depth)
+    ls = limit_object(phi.source)
+    lt = limit_object(phi.target)
     a = lt.anchor
     table = {x: phi.hom_at(a)(ls.coordinate(x, a)) for x in ls.elements()}
     return Homomorphism(ls.carrier, lt.carrier, table=table)
@@ -394,8 +391,7 @@ class SurjectivityReport:
         }
 
 
-def check_inverse_limit_surjectivity(phi: SystemMorphism,
-                                     max_depth: int = 32) -> SurjectivityReport:
+def check_inverse_limit_surjectivity(phi: SystemMorphism) -> SurjectivityReport:
     """Whether a levelwise-surjective morphism stays surjective on limits.
 
     Raises LevelwiseNotEpiError when the input is not levelwise surjective;
@@ -404,9 +400,9 @@ def check_inverse_limit_surjectivity(phi: SystemMorphism,
     bad = phi.first_non_epi_level()
     if bad is not None:
         raise LevelwiseNotEpiError(f"level map {bad} is not surjective")
-    ls = limit_object(phi.source, max_depth)
-    lt = limit_object(phi.target, max_depth)
-    f = induced_limit_map(phi, max_depth)
+    ls = limit_object(phi.source)
+    lt = limit_object(phi.target)
+    f = induced_limit_map(phi)
     hit = {f(x) for x in ls.elements()}
     missed = sorted(set(lt.elements()) - hit)
     return SurjectivityReport(
@@ -461,8 +457,7 @@ def retract_product_element(system: InverseSystem, coord, bound: int,
 
 
 def lim_to_prod_section_check(system: InverseSystem, *, trials: int = 20,
-                              seed: int = 0,
-                              max_depth: int = 32) -> SectionReport:
+                              seed: int = 0) -> SectionReport:
     """Audit the retraction of the limit-into-product inclusion.
 
     For random product elements that are a junk prefix followed by a
@@ -475,7 +470,7 @@ def lim_to_prod_section_check(system: InverseSystem, *, trials: int = 20,
         raise TheoryMismatchError(
             "the retraction is built from limit terms of the infinitary theory")
     rng = random.Random(seed)
-    lobj = limit_object(system, max_depth)
+    lobj = limit_object(system)
     threads = lobj.elements()
     if system.index == OMEGA:
         levels_checked = system.height + 1
@@ -543,16 +538,16 @@ def system_to_json(system: InverseSystem) -> dict:
     }
 
 
-def _field(data, key, path):
+def _field(data, key):
     if key not in data:
-        raise ParseError(f"{path}: missing field {key!r}")
+        raise ParseError(f"diagram: missing field {key!r}")
     return data[key]
 
 
-def system_from_json(data: dict, path: str = "diagram") -> InverseSystem:
+def system_from_json(data: dict) -> InverseSystem:
     if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected an object")
-    idx_text = _field(data, "index", path)
+        raise ParseError("diagram: expected an object")
+    idx_text = _field(data, "index")
     if idx_text == "w":
         index = OMEGA
     else:
@@ -560,41 +555,41 @@ def system_from_json(data: dict, path: str = "diagram") -> InverseSystem:
             index = from_int(int(idx_text))
         except (TypeError, ValueError):
             raise ParseError(
-                f"{path}.index: expected \"w\" or an integer string") from None
-    theory = parse_theory(_field(data, "theory", path))
-    prefix_data = _field(data, "prefix", path)
+                "diagram.index: expected \"w\" or an integer string") from None
+    theory = parse_theory(_field(data, "theory"))
+    prefix_data = _field(data, "prefix")
     if not isinstance(prefix_data, list) or not prefix_data:
-        raise ParseError(f"{path}.prefix: expected a nonempty list")
+        raise ParseError("diagram.prefix: expected a nonempty list")
     levels = []
     for i, text in enumerate(prefix_data):
         if not isinstance(text, str):
-            raise ParseError(f"{path}.prefix[{i}]: expected a string literal")
+            raise ParseError(f"diagram.prefix[{i}]: expected a string literal")
         try:
             levels.append(_level_from_literal(text, theory))
         except ParseError as exc:
-            raise ParseError(f"{path}.prefix[{i}]: {exc}") from None
-    maps_data = _field(data, "maps", path)
+            raise ParseError(f"diagram.prefix[{i}]: {exc}") from None
+    maps_data = _field(data, "maps")
     if not isinstance(maps_data, list) or len(maps_data) != len(levels) - 1:
         raise ParseError(
-            f"{path}.maps: expected {len(levels) - 1} map tables")
+            f"diagram.maps: expected {len(levels) - 1} map tables")
     maps = []
     for j, rows in enumerate(maps_data):
         dom, cod = levels[j + 1], levels[j]
         if not isinstance(rows, list):
-            raise ParseError(f"{path}.maps[{j}]: expected a list of pairs")
+            raise ParseError(f"diagram.maps[{j}]: expected a list of pairs")
         table = {}
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 2:
                 raise ParseError(
-                    f"{path}.maps[{j}][{i}]: expected [domain, codomain]")
+                    f"diagram.maps[{j}][{i}]: expected [domain, codomain]")
             x = dom.element_from_json(row[0])
             if x in table:
                 raise ParseError(
-                    f"{path}.maps[{j}][{i}]: duplicate domain element")
+                    f"diagram.maps[{j}][{i}]: duplicate domain element")
             table[x] = cod.element_from_json(row[1])
         try:
             maps.append(Homomorphism(dom, cod, table=table))
         except HomomorphismValidationError as exc:
-            raise ParseError(f"{path}.maps[{j}]: {exc}") from None
-    tail = _field(data, "tail", path)
+            raise ParseError(f"diagram.maps[{j}]: {exc}") from None
+    tail = _field(data, "tail")
     return InverseSystem(index, tuple(levels), tuple(maps), tail)

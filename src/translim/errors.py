@@ -53,10 +53,6 @@ class InvalidAlphaError(TranslimError):
     """Ordinal parameter outside the range the construction is defined for."""
 
 
-class DepthExceededError(TranslimError):
-    """Image chain failed to stabilize within the allowed depth."""
-
-
 class LevelwiseNotEpiError(TranslimError):
     """A system morphism expected to be levelwise surjective is not."""
 

@@ -17,11 +17,9 @@ Sum node.
 Each law is checked once, in the form that implies the others: over Z/n
 negation and scalars are repeated addition, so a finite subset holding zero
 and closed under + is a submodule, and an additive table is a module map.
-Homomorphisms between finite instances are explicit tables, checked at
+A homomorphism is a verified table between finite instances, checked at
 construction time by f(0) = 0 and f(x + g) = f(x) + f(g) for every x and
-every generator g; a bad table is rejected with a witness.  Maps out of a
-free symbolic module are evaluation at a family of generator images and are
-structure-respecting by construction.
+every generator g; a bad table is rejected with a witness.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .terms import (
     App,
     Sum,
     check_term,
-    evaluate,
     format_term,
     parse_term,
 )
@@ -330,16 +327,17 @@ class FreeSymbolic(ModuleInstance):
 
 
 class Homomorphism:
-    """A structure-respecting map, held as a verified table or an evaluator.
+    """A structure-respecting map between finite instances, held as a table.
 
-    A table is verified by f(0) = 0 and f(x + g) = f(x) + f(g) for every x
+    The table is verified by f(0) = 0 and f(x + g) = f(x) + f(g) for every x
     and every g in domain.generators(): by induction on g-words f is
     additive, and an additive map of Z/n-modules keeps negation and scalars.
+    A domain without a finite carrier raises InfiniteCarrierError.
     """
 
-    __slots__ = ("domain", "codomain", "table", "_fn")
+    __slots__ = ("domain", "codomain", "table")
 
-    def __init__(self, domain, codomain, table=None, fn=None, _checked=False):
+    def __init__(self, domain, codomain, table, _checked=False):
         if domain.theory != codomain.theory:
             raise TheoryMismatchError(
                 f"domain over {domain.theory.literal}, "
@@ -347,8 +345,7 @@ class Homomorphism:
         self.domain = domain
         self.codomain = codomain
         self.table = table
-        self._fn = fn
-        if table is not None and not _checked:
+        if not _checked:
             self._verify()
 
     def _verify(self):
@@ -371,10 +368,6 @@ class Homomorphism:
                         f"addition broken at {x!r} + {g!r}", (x, g))
 
     # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def from_table(domain, codomain, table):
-        return Homomorphism(domain, codomain, table=dict(table))
 
     @staticmethod
     def from_function(domain, codomain, fn):
@@ -407,40 +400,24 @@ class Homomorphism:
         return Homomorphism(domain, codomain,
                             table={x: z for x in domain.elements()})
 
-    @staticmethod
-    def free_extension_map(domain: FreeSymbolic, codomain, images: PwcSeq):
-        """Evaluation at generator images; structural laws hold by construction."""
-        if images.length != domain.generators:
-            raise HomomorphismValidationError(
-                f"images cover {images.length}, need {domain.generators}")
-        return Homomorphism(domain, codomain, fn=lambda t: evaluate(
-            t, codomain, images))
-
     # -- use -------------------------------------------------------------------
 
     def __call__(self, x):
-        if self.table is not None:
-            return self.table[x]
-        return self._fn(x)
+        return self.table[x]
 
     def after(self, other: "Homomorphism") -> "Homomorphism":
         """self o other (apply other first)."""
         if other.codomain != self.domain:
             raise TheoryMismatchError("composition domains do not line up")
-        if other.table is not None:
-            return Homomorphism(other.domain, self.codomain,
-                                table={x: self(y) for x, y in other.table.items()},
-                                _checked=True)
         return Homomorphism(other.domain, self.codomain,
-                            fn=lambda x: self(other(x)))
+                            table={x: self(y) for x, y in other.table.items()},
+                            _checked=True)
 
     def __eq__(self, other):
         if not isinstance(other, Homomorphism):
             return NotImplemented
         if self.domain != other.domain or self.codomain != other.codomain:
             return False
-        if self.table is None or other.table is None:
-            return self is other
         return self.table == other.table
 
     def __repr__(self):
@@ -452,8 +429,6 @@ class Homomorphism:
 
 def image(f: Homomorphism):
     """The set-image as a verified Submodule plus its inclusion map."""
-    if f.table is None:
-        raise InfiniteCarrierError("image needs a finite (table) homomorphism")
     carrier = tuple(sorted(set(f.table.values())))
     sub = Submodule(f.codomain, carrier)
     incl = Homomorphism(sub, f.codomain, table={x: x for x in carrier},
@@ -463,8 +438,6 @@ def image(f: Homomorphism):
 
 def is_regular_epi(f: Homomorphism) -> bool:
     """Surjectivity; regular epimorphisms of modules are exactly these."""
-    if f.table is None:
-        raise InfiniteCarrierError("surjectivity check needs a finite table")
     return set(f.table.values()) == set(f.codomain.elements())
 
 

@@ -16,16 +16,9 @@ Ordinal('w*2')
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import total_ordering
 
 from .errors import OrdinalUnderflowError, ParseError
-
-
-class Kind(Enum):
-    ZERO = "zero"
-    SUCCESSOR = "successor"
-    LIMIT = "limit"
 
 
 @total_ordering
@@ -91,24 +84,13 @@ class Ordinal:
 
     # -- structure ----------------------------------------------------------
 
-    def classify(self) -> Kind:
-        if not self.cnf:
-            return Kind.ZERO
-        if self.cnf[-1][0] == ZERO:
-            return Kind.SUCCESSOR
-        return Kind.LIMIT
-
     @property
     def is_zero(self) -> bool:
         return not self.cnf
 
     @property
     def is_successor(self) -> bool:
-        return self.classify() is Kind.SUCCESSOR
-
-    @property
-    def is_limit(self) -> bool:
-        return self.classify() is Kind.LIMIT
+        return bool(self.cnf) and self.cnf[-1][0] == ZERO
 
     @property
     def is_finite(self) -> bool:
@@ -122,7 +104,7 @@ class Ordinal:
         return self.cnf[0][1]
 
     def predecessor(self) -> "Ordinal":
-        if self.classify() is not Kind.SUCCESSOR:
+        if not self.is_successor:
             raise OrdinalUnderflowError(f"{self} is not a successor")
         e, c = self.cnf[-1]
         if c == 1:

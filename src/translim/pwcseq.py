@@ -240,31 +240,29 @@ class PwcSeq:
 
 def parse_pwc(text: str, parse_value) -> PwcSeq:
     text = text.strip()
-    if not text:
+    if text in ("", "empty"):
         return PwcSeq.empty()
     pieces = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk.startswith("["):
             raise ParseError(f"piece must start with '[': {chunk!r}")
-        try:
-            inside, rest = chunk[1:].split(")", 1)
-        except ValueError:
-            raise ParseError(f"piece missing ')': {chunk!r}") from None
-        try:
-            lo_text, hi_text = inside.split(",")
-        except ValueError:
-            raise ParseError(f"interval needs one comma: [{inside})") from None
-        rest = rest.strip()
-        if not rest.startswith("->"):
+        # an ordinal bound may hold parentheses, w^(w+1), but never '->'
+        interval, arrow, value_text = chunk.partition("->")
+        if not arrow:
             raise ParseError(f"piece missing '->': {chunk!r}")
+        interval = interval.strip()
+        if not interval.endswith(")"):
+            raise ParseError(f"piece missing ')': {chunk!r}")
+        try:
+            lo_text, hi_text = interval[1:-1].split(",")
+        except ValueError:
+            raise ParseError(f"interval needs one comma: {interval}") from None
         lo = parse_ordinal(lo_text)
         hi = parse_ordinal(hi_text)
-        value_text = rest[2:].strip()
+        value_text = value_text.strip()
         try:
             value = parse_value(value_text)
-        except ParseError:
-            raise
         except (ValueError, TypeError) as exc:
             raise ParseError(f"bad piece value {value_text!r}: {exc}") from exc
         pieces.append((lo, hi, value))

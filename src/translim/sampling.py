@@ -8,28 +8,40 @@ over a transfinite index can actually change.
 
 from __future__ import annotations
 
+import math
+
 from .instances import FiniteMod, Homomorphism
 from .ordinal import OMEGA, ZERO, Ordinal, left_subtract, sample_points_below
 from .pwcseq import PwcSeq
 
 
 def random_element(rng, module):
-    return rng.choice(module.elements())
+    """The draw of rng.choice(module.elements()); a FiniteMod decodes the
+    index in mixed radix, last coordinate fastest, and lists no carrier."""
+    if not isinstance(module, FiniteMod):
+        return rng.choice(module.elements())
+    index = rng.randrange(math.prod(module.shape))
+    digits = []
+    for m in reversed(module.shape):
+        index, d = divmod(index, m)
+        digits.append(d)
+    return tuple(reversed(digits))
 
 
-def random_breakpoints(rng, alpha: Ordinal, max_cuts: int = 3) -> list:
+def random_breakpoints(rng, alpha: Ordinal) -> list:
+    """At most three grid points below alpha, sorted."""
     grid = sample_points_below(alpha)
     if not grid:
         return []
-    k = rng.randint(0, min(max_cuts, len(grid)))
+    k = rng.randint(0, min(3, len(grid)))
     return sorted(rng.sample(grid, k))
 
 
-def random_pwc(rng, module, alpha: Ordinal, max_cuts: int = 3) -> PwcSeq:
+def random_pwc(rng, module, alpha: Ordinal) -> PwcSeq:
     """Random piecewise-constant family of module elements on [0, alpha)."""
     if alpha.is_zero:
         return PwcSeq.empty()
-    bounds = [ZERO] + random_breakpoints(rng, alpha, max_cuts) + [alpha]
+    bounds = [ZERO] + random_breakpoints(rng, alpha) + [alpha]
     pieces = [(lo, hi, random_element(rng, module))
               for lo, hi in zip(bounds, bounds[1:])]
     return PwcSeq.from_pieces(pieces)
@@ -52,11 +64,10 @@ def random_tail_agreeing_pair(rng, module, alpha: Ordinal):
     return a, b, beta
 
 
-def random_support_family(rng, module, alpha: Ordinal,
-                          max_points: int = 3) -> PwcSeq:
-    """Random family that vanishes off at most max_points grid positions."""
+def random_support_family(rng, module, alpha: Ordinal) -> PwcSeq:
+    """Random family that vanishes off at most three grid positions."""
     grid = [ZERO] + sample_points_below(alpha) if not alpha.is_zero else []
-    k = rng.randint(0, min(max_points, len(grid)))
+    k = rng.randint(0, min(3, len(grid)))
     entries = [(p, random_element(rng, module)) for p in rng.sample(grid, k)]
     return PwcSeq.from_support(entries, alpha, module.zero())
 
@@ -66,13 +77,12 @@ def random_support_family(rng, module, alpha: Ordinal,
 
 def random_divisor_shape(rng, modulus: int, max_rank: int = 2,
                          max_size: int = 8) -> tuple:
-    divisors = [d for d in range(1, modulus + 1) if modulus % d == 0]
+    small = [d for d in range(1, math.isqrt(modulus) + 1) if modulus % d == 0]
+    divisors = small + [modulus // d for d in reversed(small)
+                        if d * d != modulus]
     while True:
         shape = tuple(rng.choice(divisors) for _ in range(rng.randint(0, max_rank)))
-        size = 1
-        for m in shape:
-            size *= m
-        if size <= max_size:
+        if math.prod(shape) <= max_size:
             return shape
 
 
@@ -87,11 +97,10 @@ def random_hom(rng, domain: FiniteMod, codomain) -> Homomorphism:
     return Homomorphism.from_generator_images(domain, codomain, images)
 
 
-def random_system(rng, modulus: int, *, max_levels: int = 4,
-                  infinitary: bool = True):
-    """Random inverse system over omega with a random tail rule."""
+def random_system(rng, modulus: int, *, infinitary: bool = True):
+    """Random inverse system over omega, 1 to 4 levels, random tail rule."""
     from .diagrams import InverseSystem
-    n_levels = rng.randint(1, max_levels)
+    n_levels = rng.randint(1, 4)
     levels = tuple(FiniteMod(modulus, random_divisor_shape(rng, modulus),
                              infinitary)
                    for _ in range(n_levels))
@@ -104,20 +113,18 @@ def random_system(rng, modulus: int, *, max_levels: int = 4,
 
 
 def random_surjective_system_morphism(rng, modulus: int, *,
-                                      max_levels: int = 4,
-                                      infinitary: bool = True,
                                       level_size_cap: int = 8):
     """A levelwise-surjective morphism of omega-systems, by construction.
 
-    The target is random; source level j is target level j times a random
-    factor, the morphism is the projection, and the source maps are
-    (target map, random map), so every square commutes and every level map
-    is onto.  No rejection sampling is involved.  Factors are budgeted so
-    source levels stay within level_size_cap elements.
+    The target is a random_system of the infinitary theory; source level j
+    is target level j times a random factor, the morphism is the
+    projection, and the source maps are (target map, random map), so every
+    square commutes and every level map is onto.  No rejection sampling is
+    involved.  Factors are budgeted so source levels stay within
+    level_size_cap elements.
     """
     from .diagrams import InverseSystem, SystemMorphism
-    target = random_system(rng, modulus, max_levels=max_levels,
-                           infinitary=infinitary)
+    target = random_system(rng, modulus)
     height = len(target.prefix)
     factors = [random_divisor_shape(
         rng, modulus, max_rank=1,
@@ -126,7 +133,7 @@ def random_surjective_system_morphism(rng, modulus: int, *,
     if target.tail == "repeat-last-block":
         factors[-1] = factors[-2]
     src_levels = tuple(
-        FiniteMod(modulus, target.prefix[j].shape + factors[j], infinitary)
+        FiniteMod(modulus, target.prefix[j].shape + factors[j])
         for j in range(height))
     homs = tuple(
         Homomorphism.from_function(
@@ -136,8 +143,7 @@ def random_surjective_system_morphism(rng, modulus: int, *,
     src_maps = []
     for j in range(height - 1):
         m2 = target.maps[j]
-        g = random_hom(rng, src_levels[j + 1], FiniteMod(modulus, factors[j],
-                                                         infinitary))
+        g = random_hom(rng, src_levels[j + 1], FiniteMod(modulus, factors[j]))
         k = len(target.prefix[j + 1].shape)
         src_maps.append(Homomorphism.from_function(
             src_levels[j + 1], src_levels[j],

@@ -272,13 +272,6 @@ def variable_ceiling(t) -> Ordinal:
     return ZERO  # IndexVar: bounded by the family that owns it
 
 
-def collapse_to_one(t):
-    """Substitute every variable by Var(0), giving a term over one variable."""
-    ceiling = variable_ceiling(t)
-    sigma = PwcSeq.constant(Var(ZERO), ceiling)
-    return substitute(t, sigma)
-
-
 def variable_support(t) -> set:
     """The set of variable indices occurring in t.
 

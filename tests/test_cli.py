@@ -342,6 +342,8 @@ def test_diagram_check_bad_field(capsys, tmp_path):
 # -- usage errors --------------------------------------------------------------
 
 BAD_LEVEL = "bad-level:"  # argv placeholder for a diagram file with that level
+NESTED = "nested:"  # argv placeholder for a file of that many '['
+DEEP = "recursion limit"
 
 
 def _diagram_with_level(tmp_path, level) -> str:
@@ -351,6 +353,16 @@ def _diagram_with_level(tmp_path, level) -> str:
         "tail": "constant", "maps": [[[[0], [0]], [[1], [1]]]]}),
         encoding="utf-8")
     return str(path)
+
+
+def _argv_file(tmp_path, arg) -> str:
+    if arg.startswith(BAD_LEVEL):
+        return _diagram_with_level(tmp_path, arg[len(BAD_LEVEL):])
+    if arg.startswith(NESTED):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * int(arg[len(NESTED):]), encoding="utf-8")
+        return str(path)
+    return arg
 
 
 @pytest.mark.parametrize("argv,needle", [
@@ -368,12 +380,18 @@ def _diagram_with_level(tmp_path, level) -> str:
      "--trials must be at least 0"),
     (("check", "ab5", "--ring", "2", "--trials", "-1"),
      "--trials must be at least 0"),
+    (("ordinal", "fmt", "w^" * 3000 + "1"), DEEP),
+    (("term", "parse", "(- " * 3000 + "x0" + ")" * 3000), DEEP),
+    (("diagram", "check", NESTED + "100000"), DEEP),
+    # the finitary diagonal term for 600 is a 599-deep chain of +
+    (("check", "ab5", "--ring", "2", "--set", "600", "--theory", "fin-add",
+      "--trials", "2"), DEEP),
 ], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
         "level-order-0", "level-free", "ab5-set-w2", "refute-mod-0",
-        "limterm-trials", "ab5-trials"])
+        "limterm-trials", "ab5-trials", "deep-ordinal", "deep-term",
+        "deep-json", "ab5-deep-diagonal"])
 def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):
-    argv = [_diagram_with_level(tmp_path, a[len(BAD_LEVEL):])
-            if a.startswith(BAD_LEVEL) else a for a in argv]
+    argv = [_argv_file(tmp_path, a) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and needle in err

@@ -5,11 +5,10 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from translim import (
     OMEGA,
-    DepthExceededError,
     FiniteMod,
     Homomorphism,
     IndexOutOfRangeError,
@@ -125,8 +124,35 @@ def test_limit_of_multiplication_tower():
     assert lobj.coordinate((0,), 6) == (0,)
     with pytest.raises(IndexOutOfRangeError):
         lobj.coordinate((1,), 0)
-    with pytest.raises(DepthExceededError):
-        limit_object(tower, max_depth=1)
+
+
+def _depth_within_log2_of_top(system):
+    # the image chain is a chain of subgroups of the top level and each
+    # strict step at least halves it, so 2^depth <= |top|
+    depth = limit_object(system).depth
+    assert 2 ** depth <= system.prefix[-1].size
+    return depth
+
+
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_depth_of_sampled_systems_is_at_most_log2_of_the_top(
+        modulus, infinitary, seed):
+    _depth_within_log2_of_top(
+        random_system(random.Random(seed), modulus, infinitary=infinitary))
+
+
+@given(st.integers(0, 7), st.integers(0, 127))
+@example(7, 2)
+@settings(max_examples=100, deadline=None)
+def test_depth_of_multiplication_towers_is_at_most_log2_of_the_top(a, m):
+    n = 2 ** a
+    level = FiniteMod(n, (n,))
+    mult = Homomorphism.from_generator_images(level, level, [(m % n,)])
+    tower = InverseSystem(OMEGA, (level, level), (mult,), "repeat-last-block")
+    depth = _depth_within_log2_of_top(tower)
+    if m % n == 2 % n:
+        assert depth == a  # doubling meets the bound: Z/2^a, 2Z/2^a, ...
 
 
 def test_limit_of_capped_tower():

