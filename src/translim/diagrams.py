@@ -11,7 +11,11 @@ level, so the limit has a finite model: the set of anchor values realized
 by threads is the stabilized image of G, on which G is bijective.  The
 number of iterations needed for the image chain to stabilize is the depth
 reported by limit_object; it is the effective Mittag-Leffler certificate
-for the system.
+for the system.  A finite index or a constant tail needs no iteration:
+the limit is the top level itself.
+
+Thread coordinates and the product retraction push single elements down
+the maps (InverseSystem.push_down); no composite table is ever built.
 """
 
 from __future__ import annotations
@@ -117,14 +121,21 @@ class InverseSystem:
             return self.maps[-1]
         return Homomorphism.identity(self.prefix[-1])
 
-    def composite(self, i: int, j: int) -> Homomorphism:
-        """The composite map from level j down to level i (i <= j)."""
+    def push_down(self, x, j: int, i: int):
+        """The image at level i of the level-j element x (i <= j), one map
+        at a time.  Past the prefix a constant tail is identities, so the
+        push starts at the top of the prefix."""
         if i > j:
             raise IndexOutOfRangeError(f"no map from level {j} up to {i}")
-        f = Homomorphism.identity(self.level(j))
+        if j >= self.height:
+            if self.index != OMEGA:
+                raise IndexOutOfRangeError(
+                    f"level {j} of a height-{self.height} finite system")
+            if self.tail == "constant":
+                j = self.height - 1
         for k in range(j - 1, i - 1, -1):
-            f = self.map_at(k).after(f)
-        return f
+            x = self.map_at(k)(x)
+        return x
 
 
 class LimitObject:
@@ -145,10 +156,6 @@ class LimitObject:
         self.depth = depth
         self._lift = lift
 
-    @property
-    def module(self) -> Submodule:
-        return self.carrier
-
     def elements(self):
         return self.carrier.elements()
 
@@ -157,7 +164,7 @@ class LimitObject:
         if not self.carrier.contains(x):
             raise IndexOutOfRangeError(f"{x!r} is not a thread anchor value")
         if j <= self.anchor:
-            return self.system.composite(j, self.anchor)(x)
+            return self.system.push_down(x, self.anchor, j)
         if self.system.index != OMEGA:
             raise IndexOutOfRangeError(
                 f"level {j} of a finite system of height {self.system.height}")
@@ -174,37 +181,33 @@ class LimitObject:
 def limit_object(system: InverseSystem) -> LimitObject:
     """Compute the limit of the system as a LimitObject.
 
-    For omega-systems the image chain of the tail endomorphism is iterated
-    until it stabilizes; the number of steps is the reported depth.  The
-    chain is a chain of subgroups and each strict step at least halves the
-    size, so the depth is at most log2 of the size of the top level.
+    A finite index or a constant tail has the whole top level as its
+    carrier, at depth 0.  Under repeat-last-block the image chain of the
+    tail endomorphism is iterated until it stabilizes; the number of
+    steps is the reported depth.  The chain is a chain of subgroups and
+    each strict step at least halves the size, so the depth is at most
+    log2 of the size of the top level.
     """
     top = system.prefix[-1]
-    anchor = system.height - 1
-    if system.index != OMEGA:
-        carrier = Submodule(top, tuple(sorted(top.elements())))
-        lift = {x: x for x in carrier.carrier}
-        return LimitObject(system, anchor, carrier, 0, lift)
-    if system.tail == "repeat-last-block":
-        endo = system.maps[-1]
-    else:
-        endo = Homomorphism.identity(top)
     current = set(top.elements())
     depth = 0
-    while True:
-        nxt = {endo(x) for x in current}
-        if nxt == current:
-            break
-        depth += 1
-        current = nxt
+    if system.tail != "repeat-last-block":
+        # a finite index or a constant tail: every top element anchors a
+        # thread, and the levels above the top repeat it
+        lift = {x: x for x in current}
+    else:
+        endo = system.maps[-1]
+        while (nxt := {endo(x) for x in current}) != current:
+            depth += 1
+            current = nxt
+        lift = {endo(x): x for x in current}
+        # on the stabilized image the endomorphism is onto, hence bijective
+        if len(lift) != len(current):
+            raise TranslimError(
+                f"the endomorphism is not injective on the stabilized image "
+                f"({len(current)} elements, {len(lift)} distinct images)")
     carrier = Submodule(top, tuple(sorted(current)))
-    lift = {endo(x): x for x in current}
-    # on the stabilized image the endomorphism is onto, hence bijective
-    if len(lift) != len(current):
-        raise TranslimError(
-            f"the endomorphism is not injective on the stabilized image "
-            f"({len(current)} elements, {len(lift)} distinct images)")
-    return LimitObject(system, anchor, carrier, depth, lift)
+    return LimitObject(system, system.height - 1, carrier, depth, lift)
 
 
 def colimit_object(system: InverseSystem):
@@ -230,38 +233,18 @@ def extend_by_zero_system(module, beta: Ordinal, alpha: Ordinal) -> InverseSyste
     b = beta.to_int()
     th = module.theory
     z = zero_module(th.modulus, th.infinitary)
+    # over omega: one zero level past the cut, repeated by a constant tail
     if alpha == OMEGA:
-        levels = (module,) * (b + 1) + (z,)
-        maps = tuple(Homomorphism.identity(module) for _ in range(b))
-        maps += (Homomorphism.zero_map(z, module),)
-        return InverseSystem(OMEGA, levels, maps, "constant")
-    if not alpha.is_finite:
+        n, tail = b + 2, "constant"
+    elif alpha.is_finite:
+        n, tail = alpha.to_int(), None
+    else:
         raise InvalidAlphaError("concrete systems need a finite or omega index")
-    n = alpha.to_int()
     levels = tuple(module if g <= b else z for g in range(n))
-    maps = []
-    for g in range(n - 1):
-        hi, lo = levels[g + 1], levels[g]
-        if hi == lo:
-            maps.append(Homomorphism.identity(hi))
-        else:
-            maps.append(Homomorphism.zero_map(hi, lo))
-    return InverseSystem(alpha, levels, tuple(maps), None)
-
-
-def extend_by_zero_morphism(f: Homomorphism, beta: Ordinal,
-                            alpha: Ordinal) -> "SystemMorphism":
-    """f applied levelwise below the cut, zero maps beyond."""
-    source = extend_by_zero_system(f.domain, beta, alpha)
-    target = extend_by_zero_system(f.codomain, beta, alpha)
-    homs = []
-    for j in range(source.height):
-        s_lvl, t_lvl = source.level(j), target.level(j)
-        if s_lvl == f.domain and t_lvl == f.codomain:
-            homs.append(f)
-        else:
-            homs.append(Homomorphism.zero_map(s_lvl, t_lvl))
-    return SystemMorphism(source, target, tuple(homs))
+    maps = tuple(Homomorphism.identity(hi) if hi == lo
+                 else Homomorphism.zero_map(hi, lo)
+                 for lo, hi in zip(levels, levels[1:]))
+    return InverseSystem(alpha, levels, maps, tail)
 
 
 def extend_by_zero_comparison(module, beta_lo: Ordinal, beta_hi: Ordinal,
@@ -438,21 +421,20 @@ def retract_product_element(system: InverseSystem, coord, bound: int,
 
     coord(j) is the j-th coordinate; it must be a thread from `bound` on.
     The value is the limit of the pushdowns of the coordinates above gamma,
-    evaluated with the difference-and-sum recursion.
+    evaluated with the difference-and-sum recursion.  Each level from gamma
+    to the last one is a piece of length 1, except that over omega the
+    last piece, at the first level past `bound`, runs to omega.
     """
-    if system.index != OMEGA:
-        top = system.height - 1
-        pieces = [(from_int(j - gamma), from_int(j - gamma + 1),
-                   system.composite(gamma, j)(coord(j)))
-                  for j in range(gamma, top + 1)]
-        return lim_eval(system.level(gamma), PwcSeq.from_pieces(pieces))
-    stop = max(bound, gamma) + 1
-    pieces = []
-    for j in range(gamma, stop):
-        lo, hi = from_int(j - gamma), from_int(j - gamma + 1)
-        pieces.append((lo, hi, system.composite(gamma, j)(coord(j))))
-    pieces.append((from_int(stop - gamma), OMEGA,
-                   system.composite(gamma, stop)(coord(stop))))
+    if system.index == OMEGA:
+        last = max(bound, gamma) + 1
+        end = OMEGA
+    else:
+        last = system.height - 1
+        end = from_int(last - gamma + 1)
+    pieces = [(from_int(j - gamma),
+               from_int(j - gamma + 1) if j < last else end,
+               system.push_down(coord(j), j, gamma))
+              for j in range(gamma, last + 1)]
     return lim_eval(system.level(gamma), PwcSeq.from_pieces(pieces))
 
 

@@ -3,9 +3,11 @@
 An ordinal is a finite sum  w^e1*c1 + w^e2*c2 + ... + w^ek*ck  with ordinal
 exponents e1 > e2 > ... > ek and positive integer coefficients.  The empty sum
 is 0.  This representation is unique, so structural equality is ordinal
-equality.  Addition and left subtraction are total (left subtraction requires
-b <= a); multiplication is deliberately not part of the public surface: the
-`*n` in the textual form is the CNF coefficient, not an operation.
+equality, and ordinal order is the lexicographic order of the CNF tuples,
+which the dataclass generates (Manolios & Vroon, JAR 2005).  Addition and
+left subtraction are total (left subtraction requires b <= a);
+multiplication is deliberately not part of the public surface: the `*n` in
+the textual form is the CNF coefficient, not an operation.
 
 >>> parse_ordinal("w+3") + parse_ordinal("w")
 Ordinal('w*2')
@@ -16,42 +18,24 @@ Ordinal('w*2')
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .errors import OrdinalUnderflowError, ParseError
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Ordinal:
     """Cantor normal form: tuple of (exponent, coefficient) pairs.
 
     Exponents are themselves Ordinal values, strictly decreasing along the
     tuple; coefficients are >= 1.  Use the module helpers (from_int, omega,
     omega_power, parse_ordinal) rather than building tuples by hand.
+
+    Ordinal order is the order of the CNF tuple: the first differing term
+    decides by exponent, then by coefficient, and when one CNF extends the
+    other the longer one is larger, because its extra terms are positive.
     """
 
     cnf: tuple = ()
-
-    # -- comparison ---------------------------------------------------------
-
-    def _cmp(self, other: "Ordinal") -> int:
-        for (e1, c1), (e2, c2) in zip(self.cnf, other.cnf):
-            k = e1._cmp(e2)
-            if k != 0:
-                return k
-            if c1 != c2:
-                return -1 if c1 < c2 else 1
-        n1, n2 = len(self.cnf), len(other.cnf)
-        if n1 == n2:
-            return 0
-        # the longer CNF continues with strictly positive terms
-        return -1 if n1 < n2 else 1
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._cmp(other) < 0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -68,7 +52,7 @@ class Ordinal:
         # keep our terms with exponent strictly above other's leading exponent
         keep = 0
         for exp, _ in self.cnf:
-            if exp._cmp(e) > 0:
+            if exp > e:
                 keep += 1
             else:
                 break
@@ -140,11 +124,7 @@ def omega_power(e: Ordinal, coefficient: int = 1) -> Ordinal:
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """-1, 0 or 1 as a < b, a == b, a > b."""
-    return a._cmp(b)
-
-
-def add(a: Ordinal, b: Ordinal) -> Ordinal:
-    return a + b
+    return (a > b) - (a < b)
 
 
 def left_subtract(b: Ordinal, a: Ordinal) -> Ordinal:
@@ -161,10 +141,9 @@ def left_subtract(b: Ordinal, a: Ordinal) -> Ordinal:
     if j == len(a.cnf):
         raise OrdinalUnderflowError(f"{b} > {a}")
     (eb, cb), (ea, ca) = b.cnf[j], a.cnf[j]
-    k = eb._cmp(ea)
-    if k > 0:
+    if eb > ea:
         raise OrdinalUnderflowError(f"{b} > {a}")
-    if k < 0:
+    if eb < ea:
         return Ordinal(a.cnf[j:])
     if cb >= ca:
         raise OrdinalUnderflowError(f"{b} > {a}")

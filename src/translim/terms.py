@@ -46,25 +46,6 @@ from .pwcseq import PwcSeq
 
 
 @dataclass(frozen=True)
-class FreeSignature:
-    """Finitary signature: tuple of (name, arity) pairs, no equations."""
-
-    symbols: tuple
-
-    infinitary = False
-
-    def arity(self, op) -> int:
-        for name, ar in self.symbols:
-            if name == op:
-                return ar
-        raise TheoryMismatchError(f"unknown operation {op!r}")
-
-    @property
-    def literal(self) -> str:
-        return "sig(" + ",".join(f"{n}:{a}" for n, a in self.symbols) + ")"
-
-
-@dataclass(frozen=True)
 class AdditiveTheory:
     """Z/n-linear theory: +, unary -, zero, scalars r*(-) for r in Z/n.
 
@@ -154,10 +135,6 @@ ZERO_TERM = App("zero", ())
 def var(i) -> Var:
     from .ordinal import from_int
     return Var(from_int(i) if isinstance(i, int) else i)
-
-
-def app(op, *args) -> App:
-    return App(op, tuple(args))
 
 
 def scal(r: int, t) -> App:
@@ -272,33 +249,6 @@ def variable_ceiling(t) -> Ordinal:
     return ZERO  # IndexVar: bounded by the family that owns it
 
 
-def variable_support(t) -> set:
-    """The set of variable indices occurring in t.
-
-    Defined for placeholder-free terms (in particular every term of a
-    finitary theory); a family whose pieces mention the placeholder uses
-    every index of those pieces and has no finite support in general.
-    """
-    tt = type(t)
-    if tt is Var:
-        return {t.index}
-    if tt is App:
-        out = set()
-        for a in t.args:
-            out |= variable_support(a)
-        return out
-    if tt in (Sum, Lim):
-        out = set()
-        for _, _, u in t.family.pieces():
-            if mentions_index(u):
-                raise TheoryMismatchError(
-                    "family uses the positional placeholder; its variable "
-                    "support is not a finite set")
-            out |= variable_support(u)
-        return out
-    return set()
-
-
 # -- evaluation ----------------------------------------------------------------
 
 _NO_BOUND = object()
@@ -391,7 +341,7 @@ def check_term(theory, term, variable_limit: Ordinal | None = None):
 # -- textual form ---------------------------------------------------------------
 #
 # S-expressions: (+ x0 x5), (- x1), (scal 3 x1), zero, idx,
-# (sum w [0,2)->x0 [2,w)->zero), (lim w [0,w)->idx), free-signature ops by name.
+# (sum w [0,2)->x0 [2,w)->zero), (lim w [0,w)->idx), other operations by name.
 
 
 def _tokenize_term(text: str):
@@ -502,7 +452,7 @@ class _TermParser:
             return INDEX
         if text.startswith("x") and len(text) > 1:
             return Var(parse_ordinal(text[1:]))
-        # bare constant of a free signature
+        # an operation of arity 0; check_term decides whether the theory has it
         return App(text, ())
 
     def close(self):

@@ -2,7 +2,9 @@
 
 import hypothesis.strategies as st
 
-from translim import PwcSeq, ZERO, from_int, omega_power, standard_battery
+from translim import (INDEX, ZERO, ZERO_TERM, App, Lim, PwcSeq, Sum, Var,
+                      from_int, omega_power, sample_points_below, scal,
+                      standard_battery)
 
 
 def ordinals(max_depth: int = 2, max_terms: int = 3, max_coeff: int = 3):
@@ -32,7 +34,6 @@ def pwc_over(draw, module_strategy=battery_modules, alpha_strategy=None,
     """(module, family) pairs; family is piecewise constant on [0, alpha)."""
     module = draw(module_strategy)
     alpha = draw(alpha_strategy or positive_ordinals)
-    from translim import sample_points_below
     cuts = sorted(set(draw(st.lists(
         st.sampled_from(sample_points_below(alpha) or [alpha]),
         min_size=0, max_size=max_cuts))))
@@ -42,3 +43,46 @@ def pwc_over(draw, module_strategy=battery_modules, alpha_strategy=None,
     pieces = [(lo, hi, draw(elems)) for lo, hi in zip(bounds, bounds[1:])]
     return module, PwcSeq.from_pieces(pieces)
 
+
+def _index_points(alpha):
+    return [ZERO] + sample_points_below(alpha)
+
+
+@st.composite
+def terms_over(draw, alpha, depth=2, in_family=False):
+    choices = ["var", "zero"]
+    if in_family:
+        choices.append("idx")
+    if depth > 0:
+        choices += ["plus", "neg", "scal", "node"]
+    kind = draw(st.sampled_from(choices))
+    if kind == "var":
+        return Var(draw(st.sampled_from(_index_points(alpha))))
+    if kind == "zero":
+        return ZERO_TERM
+    if kind == "idx":
+        return INDEX
+    if kind == "plus":
+        return App("+", (draw(terms_over(alpha, depth - 1, in_family)),
+                         draw(terms_over(alpha, depth - 1, in_family))))
+    if kind == "neg":
+        return App("-", (draw(terms_over(alpha, depth - 1, in_family)),))
+    if kind == "scal":
+        return scal(draw(st.integers(0, 4)),
+                    draw(terms_over(alpha, depth - 1, in_family)))
+    length = draw(st.sampled_from(
+        [p for p in _index_points(alpha) + [alpha] if not p.is_zero]))
+    fam = draw(term_families(alpha, length, depth - 1))
+    return (Sum if kind == "node" and draw(st.booleans()) else Lim)(length, fam)
+
+
+@st.composite
+def term_families(draw, alpha, length, depth):
+    """PwcSeq of terms on [0, length); bodies may use the positional idx."""
+    pts = [p for p in sample_points_below(length) if p < length]
+    cuts = sorted(set(draw(st.lists(st.sampled_from(pts), max_size=2))
+                  if pts else []))
+    bounds = [ZERO] + cuts + [length]
+    pieces = [(lo, hi, draw(terms_over(alpha, depth, in_family=True)))
+              for lo, hi in zip(bounds, bounds[1:])]
+    return PwcSeq.from_pieces(pieces)

@@ -11,6 +11,7 @@ and review the diff before committing.
 import json
 import os
 import pathlib
+import time
 
 import pytest
 
@@ -152,6 +153,22 @@ def test_check_limterm_echoes_seed_and_passes(capsys):
     assert lines[0] == "seed: 7"
     assert lines[-1].startswith("check limterm: PASS")
     check_golden("check_limterm_w_z4_seed7.txt", out)
+
+
+def test_check_limterm_on_a_large_module_evaluates_generators_only(capsys):
+    # constants are checked on the one generator of Z/100000, not on
+    # 100000 constant families
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", "limterm", "--alpha", "w",
+                             "--module", "Z/100000", "--trials", "3")
+    took = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert out == ("seed: 0\n"
+                   "alpha: w\n"
+                   "term: (lim w [0,w)->idx)\n"
+                   "  Z/100000: pass (3 trials)\n"
+                   "check limterm: PASS (1/1 instances)\n")
+    assert took < 0.1
 
 
 def test_check_limterm_battery_golden(capsys):

@@ -16,9 +16,11 @@ from translim import (
     InvalidAlphaError,
     LevelwiseNotEpiError,
     ParseError,
+    PwcSeq,
     TheoryMismatchError,
     ZERO,
     from_int,
+    lim_eval,
     parse_instance,
 )
 from translim.diagrams import (
@@ -28,7 +30,6 @@ from translim.diagrams import (
     colimit_object,
     compose_system_morphisms,
     extend_by_zero_comparison,
-    extend_by_zero_morphism,
     extend_by_zero_system,
     induced_limit_map,
     lim_to_prod_section_check,
@@ -96,13 +97,63 @@ def test_levels_and_maps_continue_periodically():
         fin.map_at(1)
 
 
-def test_composite_maps():
+def test_push_down():
     tower = InverseSystem(OMEGA, (Z4, Z4), (MULT2,), "repeat-last-block")
-    assert tower.composite(0, 0) == IDENT
-    assert tower.composite(0, 1) == MULT2
-    assert tower.composite(0, 2) == MULT2.after(MULT2)
+    assert [tower.push_down(x, 0, 0) for x in Z4.elements()] == Z4.elements()
+    assert tower.push_down((1,), 1, 0) == MULT2((1,))
+    assert tower.push_down((1,), 2, 0) == MULT2.after(MULT2)((1,))
+    assert constant_system(Z4, levels=2).push_down((3,), 9, 4) == (3,)
     with pytest.raises(IndexOutOfRangeError):
-        tower.composite(2, 0)
+        tower.push_down((1,), 0, 2)
+    fin = InverseSystem(from_int(2), (Z4, Z4), (MULT2,), None)
+    assert fin.push_down((1,), 1, 0) == (2,)
+    with pytest.raises(IndexOutOfRangeError):
+        fin.push_down((1,), 2, 2)
+
+
+def composite_by_tables(system, i, j):
+    """The level-j to level-i map as one table: the identity of level j
+    composed with map_at(k) for k = j-1 down to i (the old composite)."""
+    if i > j:
+        raise IndexOutOfRangeError(f"no map from level {j} up to {i}")
+    f = Homomorphism.identity(system.level(j))
+    for k in range(j - 1, i - 1, -1):
+        f = system.map_at(k).after(f)
+    return f
+
+
+def _pushes_match_tables(system):
+    for j in range(system.height + 3):
+        for i in range(j + 1):
+            try:
+                table = composite_by_tables(system, i, j)
+            except IndexOutOfRangeError:
+                with pytest.raises(IndexOutOfRangeError):
+                    system.push_down(system.level(0).zero(), j, i)
+                continue
+            for x in system.level(j).elements():
+                assert system.push_down(x, j, i) == table(x)
+
+
+def _as_finite(system):
+    return InverseSystem(from_int(system.height), system.prefix,
+                         system.maps, None)
+
+
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_push_down_matches_composite_tables(modulus, finite, seed):
+    system = random_system(random.Random(seed), modulus)
+    _pushes_match_tables(_as_finite(system) if finite else system)
+
+
+@pytest.mark.parametrize("a", range(1, 6))
+def test_push_down_matches_composite_tables_on_doubling_tower(a):
+    n = 2 ** a
+    level = FiniteMod(n, (n,))
+    double = Homomorphism.from_generator_images(level, level, [(2 % n,)])
+    _pushes_match_tables(InverseSystem(OMEGA, (level, level), (double,),
+                                       "repeat-last-block"))
 
 
 # -- limits ------------------------------------------------------------------------
@@ -206,7 +257,10 @@ def test_extend_by_zero_guards():
 
 
 def test_extend_by_zero_morphism_and_comparison():
-    phi = extend_by_zero_morphism(MULT2, from_int(1), OMEGA)
+    sys_z = extend_by_zero_system(Z4, from_int(1), OMEGA)
+    zero = sys_z.level(2)
+    phi = SystemMorphism(sys_z, sys_z,
+                         (MULT2, MULT2, Homomorphism.zero_map(zero, zero)))
     assert phi.hom_at(0) == MULT2
     assert phi.hom_at(2)(()) == ()
     f = induced_limit_map(phi)
@@ -360,6 +414,71 @@ def test_retract_ignores_junk_prefix():
     assert retract_product_element(sys_c, coord, 1, 0) == (3,)
     assert retract_product_element(
         sys_c, lambda j: lobj.coordinate((2,), j), 0, 0) == (2,)
+
+
+def two_branch_retraction(system, coord, bound, gamma):
+    """The retraction with one branch per index shape and table
+    composites (the old retract_product_element)."""
+    if system.index != OMEGA:
+        top = system.height - 1
+        pieces = [(from_int(j - gamma), from_int(j - gamma + 1),
+                   composite_by_tables(system, gamma, j)(coord(j)))
+                  for j in range(gamma, top + 1)]
+        return lim_eval(system.level(gamma), PwcSeq.from_pieces(pieces))
+    stop = max(bound, gamma) + 1
+    pieces = [(from_int(j - gamma), from_int(j - gamma + 1),
+               composite_by_tables(system, gamma, j)(coord(j)))
+              for j in range(gamma, stop)]
+    pieces.append((from_int(stop - gamma), OMEGA,
+                   composite_by_tables(system, gamma, stop)(coord(stop))))
+    return lim_eval(system.level(gamma), PwcSeq.from_pieces(pieces))
+
+
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_retraction_matches_the_two_branch_form(modulus, finite, seed):
+    rng = random.Random(seed)
+    system = random_system(rng, modulus)
+    if finite:
+        system = _as_finite(system)
+    lobj = limit_object(system)
+    t = rng.choice(lobj.elements())
+    levels = system.height + (system.index == OMEGA)
+    junk = [rng.choice(system.level(j).elements())
+            for j in range(rng.randint(0, levels))]
+
+    def coord(j):
+        return junk[j] if j < len(junk) else lobj.coordinate(t, j)
+
+    for gamma in range(levels):
+        assert (retract_product_element(system, coord, len(junk), gamma)
+                == two_branch_retraction(system, coord, len(junk), gamma))
+
+
+def test_threads_and_retraction_build_no_homomorphism(monkeypatch):
+    systems = [
+        constant_system(Z4, levels=2),
+        InverseSystem(OMEGA, (Z4, Z4), (MULT2,), "repeat-last-block"),
+        InverseSystem(OMEGA, (Z2m4, Z4, Z4), (MOD2, IDENT), "constant"),
+        InverseSystem(from_int(3), (Z2m4, Z4, Z4), (MOD2, MULT2), None),
+    ]
+    built = []
+    original = Homomorphism.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(Homomorphism, "__init__", counted)
+    for system in systems:
+        lobj = limit_object(system)
+        levels = system.height + 2 if system.index == OMEGA else system.height
+        for t in lobj.elements():
+            for gamma in range(levels):
+                expected = lobj.coordinate(t, gamma)
+                assert retract_product_element(
+                    system, lambda j, t=t: lobj.coordinate(t, j), 0,
+                    gamma) == expected
+    assert built == []
 
 
 def test_section_check_reports():

@@ -1,3 +1,6 @@
+import functools
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -92,6 +95,35 @@ def test_compare_total(a, b):
     assert (c == 0) == (a == b)
     assert (c == -1) == (a < b)
     assert (c == 1) == (b < a)
+
+
+def cnf_compare(a, b):
+    """Term-by-term CNF comparison (the old hand-written comparator):
+    first differing exponent, then coefficient, then the longer CNF."""
+    for (e1, c1), (e2, c2) in zip(a.cnf, b.cnf):
+        k = cnf_compare(e1, e2)
+        if k != 0:
+            return k
+        if c1 != c2:
+            return -1 if c1 < c2 else 1
+    n1, n2 = len(a.cnf), len(b.cnf)
+    if n1 == n2:
+        return 0
+    return -1 if n1 < n2 else 1
+
+
+@given(ordinals(max_depth=3, max_terms=4), ordinals(max_depth=3, max_terms=4))
+def test_tuple_order_matches_the_cnf_comparator(a, b):
+    k = cnf_compare(a, b)
+    assert compare(a, b) == k
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (
+        k < 0, k <= 0, k > 0, k >= 0, k == 0)
+    assert sorted([a, b]) == ([a, b] if k <= 0 else [b, a])
+
+
+@given(st.lists(ordinals(max_depth=3, max_terms=4), max_size=8))
+def test_sorted_matches_the_cnf_comparator(xs):
+    assert sorted(xs) == sorted(xs, key=functools.cmp_to_key(cnf_compare))
 
 
 @given(ordinals(), ordinals())

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import battery_modules
+from conftest import battery_modules, term_families, terms_over
 
 from translim import (
     INDEX,
@@ -15,7 +15,6 @@ from translim import (
     App,
     DivergentSumError,
     FiniteMod,
-    FreeSignature,
     LengthMismatchError,
     Lim,
     ParseError,
@@ -40,10 +39,8 @@ from translim import (
     variable_ceiling,
 )
 from translim.terms import (
-    app,
     eval_family,
     mentions_index,
-    variable_support,
 )
 
 Z2 = parse_instance("Z/2")
@@ -57,50 +54,6 @@ W2 = OMEGA + from_int(2)
 
 TERM_ALPHAS = st.sampled_from(
     [from_int(1), from_int(4), OMEGA, W2, OMEGA + OMEGA])
-
-
-def _index_points(alpha):
-    return [ZERO] + sample_points_below(alpha)
-
-
-@st.composite
-def terms_over(draw, alpha, depth=2, in_family=False):
-    choices = ["var", "zero"]
-    if in_family:
-        choices.append("idx")
-    if depth > 0:
-        choices += ["plus", "neg", "scal", "node"]
-    kind = draw(st.sampled_from(choices))
-    if kind == "var":
-        return Var(draw(st.sampled_from(_index_points(alpha))))
-    if kind == "zero":
-        return ZERO_TERM
-    if kind == "idx":
-        return INDEX
-    if kind == "plus":
-        return App("+", (draw(terms_over(alpha, depth - 1, in_family)),
-                         draw(terms_over(alpha, depth - 1, in_family))))
-    if kind == "neg":
-        return App("-", (draw(terms_over(alpha, depth - 1, in_family)),))
-    if kind == "scal":
-        return scal(draw(st.integers(0, 4)),
-                    draw(terms_over(alpha, depth - 1, in_family)))
-    length = draw(st.sampled_from(
-        [p for p in _index_points(alpha) + [alpha] if not p.is_zero]))
-    fam = draw(term_families(alpha, length, depth - 1))
-    return (Sum if kind == "node" and draw(st.booleans()) else Lim)(length, fam)
-
-
-@st.composite
-def term_families(draw, alpha, length, depth):
-    """PwcSeq of terms on [0, length); bodies may use the positional idx."""
-    pts = [p for p in sample_points_below(length) if p < length]
-    cuts = sorted(set(draw(st.lists(st.sampled_from(pts), max_size=2))
-                  if pts else []))
-    bounds = [ZERO] + cuts + [length]
-    pieces = [(lo, hi, draw(terms_over(alpha, depth, in_family=True)))
-              for lo, hi in zip(bounds, bounds[1:])]
-    return PwcSeq.from_pieces(pieces)
 
 
 @st.composite
@@ -143,11 +96,12 @@ def test_parse_examples():
 
 
 def test_parse_free_signature_constants():
-    sig = FreeSignature((("f", 2), ("c", 0)))
-    t = parse_term("(f c c)", sig)
+    t = parse_term("(f c c)")
     assert t == App("f", (App("c", ()), App("c", ())))
-    assert parse_term("c", sig) == App("c", ())
+    assert parse_term("c") == App("c", ())
     assert format_term(t) == "(f c c)"
+    with pytest.raises(TheoryMismatchError):
+        parse_term("(f c c)", TH2)
 
 
 @pytest.mark.parametrize("text", [
@@ -198,9 +152,8 @@ def test_check_term_arity():
         check_term(TH2, App("+", (var(0),)))
     with pytest.raises(TheoryMismatchError):
         check_term(TH2, App("nope", ()))
-    sig = FreeSignature((("f", 2),))
     with pytest.raises(TheoryMismatchError):
-        check_term(sig, App("f", (App("c", ()),)))
+        check_term(TH2, App("+", (var(0), var(1), var(2))))
 
 
 def test_check_term_rejects_nodes_under_finitary_theory():
@@ -209,7 +162,7 @@ def test_check_term_rejects_nodes_under_finitary_theory():
         check_term(fin, sum_term(from_int(2)))
     with pytest.raises(TheoryMismatchError):
         parse_term("(lim w [0,w)->idx)", fin)
-    check_term(fin, app("+", var(0), scal(3, var(1))))
+    check_term(fin, App("+", (var(0), scal(3, var(1)))))
 
 
 def test_check_term_variable_limit():
@@ -235,7 +188,7 @@ def test_variable_ceiling_examples():
     assert variable_ceiling(ZERO_TERM) == ZERO
     assert variable_ceiling(INDEX) == ZERO
     assert variable_ceiling(var(3)) == from_int(4)
-    assert variable_ceiling(app("+", var(1), var(5))) == from_int(6)
+    assert variable_ceiling(App("+", (var(1), var(5)))) == from_int(6)
     assert variable_ceiling(sum_term(OMEGA)) == OMEGA
     assert variable_ceiling(Sum(OMEGA, PwcSeq.constant(var(2), OMEGA))) == from_int(3)
 
@@ -246,23 +199,14 @@ def test_variable_ceiling_is_a_valid_limit(t):
     check_term(TH2, t, variable_limit=variable_ceiling(t))
 
 
-def test_variable_support_examples():
-    assert variable_support(app("+", var(1), scal(2, var(5)))) == {
-        from_int(1), from_int(5)}
-    assert variable_support(Sum(OMEGA, PwcSeq.constant(var(2), OMEGA))) == {
-        from_int(2)}
-    assert variable_support(ZERO_TERM) == set()
-    with pytest.raises(TheoryMismatchError):
-        variable_support(sum_term(OMEGA))
-
-
 def collapse_to_one(t):
     """Every variable of t replaced by Var(0), through substitute."""
     return substitute(t, PwcSeq.constant(Var(ZERO), variable_ceiling(t)))
 
 
 def test_collapse_to_one():
-    assert collapse_to_one(app("+", var(1), var(5))) == app("+", var(0), var(0))
+    assert (collapse_to_one(App("+", (var(1), var(5))))
+            == App("+", (var(0), var(0))))
     assert collapse_to_one(sum_term(OMEGA)) == Sum(
         OMEGA, PwcSeq.constant(Var(ZERO), OMEGA))
     c = collapse_to_one(scal(3, var(7)))
@@ -275,9 +219,9 @@ def test_evaluate_leaves_and_apps():
     a = PwcSeq.from_tuple(((1,), (2,), (3,)))
     assert evaluate(var(1), Z4, a) == (2,)
     assert evaluate(ZERO_TERM, Z4, a) == (0,)
-    assert evaluate(app("+", var(0), var(2)), Z4, a) == (0,)
+    assert evaluate(App("+", (var(0), var(2))), Z4, a) == (0,)
     assert evaluate(scal(3, var(1)), Z4, a) == (2,)
-    assert evaluate(app("-", var(2)), Z4, a) == (1,)
+    assert evaluate(App("-", (var(2),)), Z4, a) == (1,)
 
 
 def test_evaluate_sum_and_lim():
@@ -388,7 +332,7 @@ def test_evaluate_respects_substitution(module, triple, data):
 
 
 def test_mentions_index_stops_at_nested_families():
-    assert mentions_index(app("+", INDEX, var(0))) is True
+    assert mentions_index(App("+", (INDEX, var(0)))) is True
     # a nested node owns its placeholder, so it does not leak outward
     assert mentions_index(sum_term(OMEGA)) is False
-    assert mentions_index(app("+", sum_term(OMEGA), var(0))) is False
+    assert mentions_index(App("+", (sum_term(OMEGA), var(0)))) is False

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import translim.transfinite as transfinite
-from conftest import ordinals, pwc_over
+from conftest import ordinals, pwc_over, terms_over
 
 from translim import (
     OMEGA,
@@ -16,6 +16,7 @@ from translim import (
     DivergentSumError,
     FiniteMod,
     FreeSymbolic,
+    InfiniteCarrierError,
     InvalidAlphaError,
     LengthMismatchError,
     Lim,
@@ -25,7 +26,6 @@ from translim import (
     UnboundVariableError,
     Var,
     ZERO_TERM,
-    audit_lim,
     basis_family,
     build_lim_term,
     check_constants_fixed,
@@ -77,20 +77,6 @@ def test_lim_eval_successor_is_last_entry():
     fam = _seq(Z6, [(0, OMEGA, (1,)), (OMEGA, OMEGA + from_int(2), (5,))])
     assert lim_eval(Z6, fam) == (5,)
     assert lim_eval(Z6, fam) == fam.value_at(fam.length.predecessor())
-
-
-@settings(max_examples=120, deadline=None)
-@given(pwc_over())
-def test_audit_lim_agrees(pair):
-    module, fam = pair
-    assert audit_lim(module, fam) == lim_value(module, fam)
-
-
-def test_audit_lim_raises_when_paths_disagree(monkeypatch):
-    fam = PwcSeq.constant((1,), OMEGA)
-    monkeypatch.setattr(transfinite, "lim_value", lambda m, f: (0,))
-    with pytest.raises(AssertionError):
-        transfinite.audit_lim(Z2, fam)
 
 
 # -- summation through the recursion -------------------------------------------------
@@ -301,6 +287,50 @@ def test_check_constants_fixed():
     doctored = scal(2, var(0))
     w = check_constants_fixed(doctored, OMEGA, Z3)
     assert w is not None and w["law"] == "constants-fixed"
+
+
+def constants_fixed_on_every_element(term, alpha, module):
+    """The exhaustive constants check: one evaluation per element."""
+    for c in module.elements():
+        got = evaluate(term, module, PwcSeq.constant(c, alpha))
+        if got != c:
+            return {
+                "law": "constants-fixed",
+                "constant": module.format_element(c),
+                "got": module.format_element(got),
+            }
+    return None
+
+
+def _witness_or_divergence(check, term, alpha, module):
+    try:
+        return check(term, alpha, module)
+    except DivergentSumError:
+        return "divergent"
+
+
+CONSTANT_SHAPES = [FiniteMod(1, ()), FiniteMod(2, (2,)), FiniteMod(6, (6,)),
+                   FiniteMod(4, (2, 4)), FiniteMod(4, (4, 2)),
+                   FiniteMod(6, (1, 6)), FiniteMod(2, (2, 2, 2)),
+                   FiniteMod(9, (3, 9))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONSTANT_SHAPES),
+       st.sampled_from([from_int(1), from_int(3), OMEGA, OMEGA + from_int(2),
+                        OMEGA + OMEGA]).flatmap(
+           lambda a: st.tuples(st.just(a), terms_over(a))))
+def test_constants_on_generators_match_every_element(module, drawn):
+    alpha, term = drawn
+    assert (_witness_or_divergence(check_constants_fixed, term, alpha, module)
+            == _witness_or_divergence(constants_fixed_on_every_element,
+                                      term, alpha, module))
+
+
+def test_constants_check_keeps_the_exhaustive_loop_off_finite_modules():
+    free = FreeSymbolic(AdditiveTheory(2), OMEGA)
+    with pytest.raises(InfiniteCarrierError):
+        check_constants_fixed(build_lim_term(OMEGA), OMEGA, free)
 
 
 def test_check_prefix_independence():
