@@ -14,6 +14,7 @@ seed and print the bare result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -444,8 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on first use rather than at import:
+# argparse keeps no per-parse state on the parser, and help text reads the
+# terminal width when it is formatted, not when the parser is built.
+# build_parser itself still returns a fresh parser on every call.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DivergentSumError,
@@ -91,6 +91,10 @@ class FiniteMod(ModuleInstance):
     modulus: int
     shape: tuple
     infinitary: bool = True
+    # derived, so equality, hash and repr skip it; set in __post_init__,
+    # which keeps one attribute layout for every instance (caching it on
+    # first use grows each instance dict and slows every attribute read)
+    theory: AdditiveTheory = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -99,12 +103,14 @@ class FiniteMod(ModuleInstance):
             if m < 1 or self.modulus % m != 0:
                 raise ValueError(
                     f"component order {m} must divide the modulus {self.modulus}")
-
-    @property
-    def theory(self):
-        return AdditiveTheory(self.modulus, self.infinitary)
+        object.__setattr__(self, "theory",
+                           AdditiveTheory(self.modulus, self.infinitary))
 
     is_finite = True
+
+    @property
+    def size(self):
+        return math.prod(self.shape)
 
     def zero(self):
         return (0,) * len(self.shape)

@@ -17,6 +17,7 @@ Ordinal('w*2')
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import OrdinalUnderflowError, ParseError
@@ -292,10 +293,17 @@ def sample_points_below(alpha: Ordinal) -> list:
     Includes 1 and 2, every partial sum of the CNF of alpha (with each
     coefficient split step by step), omega^e for each exponent occurring
     in alpha, and the successor of each of those.  For finite alpha this
-    is everything in [1, alpha).
+    is everything in [1, alpha).  Each call returns a fresh list.
     """
+    return list(_sample_grid(alpha))
+
+
+# The grid is pure in alpha and drawn from on every sampled breakpoint, on
+# few distinct ordinals; the bound keeps the cache from growing with input.
+@functools.lru_cache(maxsize=256)
+def _sample_grid(alpha: Ordinal) -> tuple:
     if alpha <= ONE:
-        return []
+        return ()
     pts = {ONE, from_int(2)}
     acc = ZERO
     for e, c in alpha.cnf:
@@ -305,4 +313,4 @@ def sample_points_below(alpha: Ordinal) -> list:
     for e in exponents_in(alpha):
         pts.add(omega_power(e))
     pts |= {p + ONE for p in pts}
-    return sorted(p for p in pts if ONE <= p < alpha)
+    return tuple(sorted(p for p in pts if ONE <= p < alpha))

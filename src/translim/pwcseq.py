@@ -12,6 +12,7 @@ never interprets them except to compare with == while coalescing.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .errors import (
@@ -128,10 +129,7 @@ class PwcSeq:
     def value_at(self, g: Ordinal):
         if not g < self.length:
             raise IndexOutOfRangeError(f"index {g} >= length {self.length}")
-        for i in range(len(self.values)):
-            if g < self.breakpoints[i + 1]:
-                return self.values[i]
-        raise AssertionError("breakpoints do not tile the length")
+        return self.values[bisect.bisect_right(self.breakpoints, g) - 1]
 
     # -- pointwise and structural operations ----------------------------------
 

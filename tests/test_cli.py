@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from translim import cli
 from translim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -457,6 +458,22 @@ def test_suite_run_fails_under_tampered_evaluator(capsys, monkeypatch):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_one_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    # usage errors, defaults and help must not depend on earlier parses
+    argvs = [("ordinal", "frob", "w"),
+             ("suite", "run", "transfinite", "--seed", "3"),
+             ("suite", "run", "transfinite"),
+             ("--help",), ("check", "ab5", "--help"),
+             ("ordinal", "frob", "w")]
+    shared = [run_cli(capsys, *argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in argvs]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 2]
+    assert shared[1] != shared[2]
 
 
 def test_unknown_command_exits_two(capsys):

@@ -136,6 +136,28 @@ def test_finite_mod_operations():
 @settings(max_examples=60, deadline=None)
 @given(finite_mods(max_size=64))
 @example(FiniteMod(1, ()))
+@example(FiniteMod(1, (1,)))
+@example(FiniteMod(2, (1, 2)))
+@example(FiniteMod(6, (1, 1, 3)))
+def test_size_counts_the_carrier(m):
+    assert m.size == len(m.elements())
+
+
+def test_theory_is_built_once_and_stays_out_of_the_value():
+    m, twin = FiniteMod(4, (2, 4)), FiniteMod(4, (2, 4))
+    text, key = repr(m), hash(m)
+    assert m.theory is m.theory
+    assert m.theory == AdditiveTheory(4, True)
+    assert FiniteMod(4, (4,), False).theory == AdditiveTheory(4, False)
+    assert repr(m) == text == repr(twin)
+    assert text == "FiniteMod(modulus=4, shape=(2, 4), infinitary=True)"
+    assert hash(m) == key == hash(twin)
+    assert m == twin and m != FiniteMod(4, (2, 4), False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_mods(max_size=64))
+@example(FiniteMod(1, ()))
 @example(FiniteMod(2, (1, 2)))
 @example(FiniteMod(6, (1, 1, 3)))
 def test_generators_are_elements_and_generate(m):

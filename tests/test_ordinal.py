@@ -166,6 +166,40 @@ def test_sample_points_examples():
     assert OMEGA in pts and OMEGA + ONE in pts and ONE in pts
 
 
+def sample_points_by_construction(alpha):
+    """The grid rebuilt on every call: the reference for the cached one."""
+    if alpha <= ONE:
+        return []
+    pts = {ONE, from_int(2)}
+    acc = ZERO
+    for e, c in alpha.cnf:
+        for k in range(1, c + 1):
+            pts.add(acc + omega_power(e, k))
+        acc = acc + omega_power(e, c)
+    for e in exponents_in(alpha):
+        pts.add(omega_power(e))
+    pts |= {p + ONE for p in pts}
+    return sorted(p for p in pts if ONE <= p < alpha)
+
+
+@given(ordinals(max_depth=3))
+@settings(max_examples=200)
+def test_sample_points_agree_with_the_uncached_grid(alpha):
+    expected = sample_points_by_construction(alpha)
+    assert sample_points_below(alpha) == expected
+    assert sample_points_below(alpha) == expected  # a cache hit, too
+
+
+def test_sample_points_are_a_fresh_list_each_call():
+    alpha = parse_ordinal("w^2+w*3+2")
+    first = sample_points_below(alpha)
+    expected = list(first)
+    first.append(alpha)
+    first.reverse()
+    assert sample_points_below(alpha) == expected
+    assert sample_points_below(alpha) is not sample_points_below(alpha)
+
+
 def test_interval_cardinality():
     assert interval_cardinality(ZERO, from_int(4)) == 4
     assert interval_cardinality(OMEGA, OMEGA + from_int(2)) == 2

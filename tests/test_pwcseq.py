@@ -50,6 +50,31 @@ def test_value_at():
         s.value_at(OMEGA + ONE)
 
 
+def value_at_by_scan(fam, g):
+    """Reference lookup: the first piece whose end lies above g."""
+    if not g < fam.length:
+        raise IndexOutOfRangeError(f"index {g} >= length {fam.length}")
+    for i, v in enumerate(fam.values):
+        if g < fam.breakpoints[i + 1]:
+            return v
+    raise AssertionError("breakpoints do not tile the length")
+
+
+@given(pwc_over(max_cuts=5))
+@settings(max_examples=150)
+def test_value_at_agrees_with_the_scan(mf):
+    # every breakpoint, every grid point and each one's successor
+    module, fam = mf
+    probes = set(fam.breakpoints) | set(sample_points_below(fam.length))
+    probes |= {p + ONE for p in probes}
+    for g in probes:
+        if g < fam.length:
+            assert fam.value_at(g) == value_at_by_scan(fam, g)
+        else:
+            with pytest.raises(IndexOutOfRangeError):
+                fam.value_at(g)
+
+
 def test_parse_format_round_trip():
     text = "[0,2) -> 1;[2,w) -> 0;[w,w^2) -> 3"
     s = parse_pwc(text, int)

@@ -10,6 +10,8 @@ from translim import (
     run_suite,
     transfinite_suite,
 )
+from translim.cli import main
+from translim.ordinal import _sample_grid
 from translim.reports import CASE_RESULT_SCHEMA, SUITE_REPORT_SCHEMA, case
 
 
@@ -90,3 +92,13 @@ def test_tampered_limit_evaluator_fails_the_suite(monkeypatch):
     assert report.failed > 0
     rendered = report.render_text()
     assert "[FAIL]" in rendered and "witness:" in rendered
+
+
+def test_suite_run_builds_each_sample_grid_once(capsys):
+    _sample_grid.cache_clear()
+    assert main(["suite", "run", "all"]) == 0
+    capsys.readouterr()
+    info = _sample_grid.cache_info()
+    # each miss ran the grid body once, and no grid was evicted and rebuilt
+    assert info.misses == info.currsize < info.maxsize
+    assert info.hits > info.misses
