@@ -21,7 +21,7 @@ the maps (InverseSystem.push_down); no composite table is ever built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     HomomorphismValidationError,
@@ -57,6 +57,7 @@ class InverseSystem:
     prefix: tuple
     maps: tuple
     tail: str | None = "constant"
+    _identity = None  # the map past a constant-tail prefix; not a field
 
     def __post_init__(self):
         if not self.prefix:
@@ -119,7 +120,10 @@ class InverseSystem:
                 f"map {j} of a height-{self.height} finite system")
         if self.tail == "repeat-last-block":
             return self.maps[-1]
-        return Homomorphism.identity(self.prefix[-1])
+        if self._identity is None:
+            object.__setattr__(self, "_identity",
+                               Homomorphism.identity(self.prefix[-1]))
+        return self._identity
 
     def push_down(self, x, j: int, i: int):
         """The image at level i of the level-j element x (i <= j), one map
@@ -190,6 +194,7 @@ def limit_object(system: InverseSystem) -> LimitObject:
     """
     top = system.prefix[-1]
     current = set(top.elements())
+    gens = top.generators()
     depth = 0
     if system.tail != "repeat-last-block":
         # a finite index or a constant tail: every top element anchors a
@@ -200,13 +205,15 @@ def limit_object(system: InverseSystem) -> LimitObject:
         while (nxt := {endo(x) for x in current}) != current:
             depth += 1
             current = nxt
+            gens = [endo(g) for g in gens]
         lift = {endo(x): x for x in current}
         # on the stabilized image the endomorphism is onto, hence bijective
         if len(lift) != len(current):
             raise TranslimError(
                 f"the endomorphism is not injective on the stabilized image "
                 f"({len(current)} elements, {len(lift)} distinct images)")
-    carrier = Submodule(top, tuple(sorted(current)))
+    # the image of endo^depth is spanned by the images of the generators
+    carrier = Submodule._spanned(top, tuple(sorted(current)), gens)
     return LimitObject(system, system.height - 1, carrier, depth, lift)
 
 
@@ -290,7 +297,7 @@ class SystemMorphism:
     everywhere.
     """
 
-    __slots__ = ("source", "target", "homs")
+    __slots__ = ("source", "target", "homs", "_limits")
 
     def __init__(self, source: InverseSystem, target: InverseSystem, homs):
         if source.index != target.index:
@@ -301,6 +308,7 @@ class SystemMorphism:
         self.source = source
         self.target = target
         self.homs = tuple(homs)
+        self._limits = None
         top = need if source.index == OMEGA else need - 1
         for j in range(top + 1):
             h = self.hom_at(j)
@@ -330,6 +338,11 @@ class SystemMorphism:
     def levelwise_epi(self) -> bool:
         return self.first_non_epi_level() is None
 
+    def _limit_objects(self):
+        if self._limits is None:
+            self._limits = limit_object(self.source), limit_object(self.target)
+        return self._limits
+
 
 def induced_limit_map(phi: SystemMorphism) -> Homomorphism:
     """The map the morphism induces between the two limits.
@@ -339,8 +352,7 @@ def induced_limit_map(phi: SystemMorphism) -> Homomorphism:
     this as a verified Homomorphism also certifies that thread images are
     threads.
     """
-    ls = limit_object(phi.source)
-    lt = limit_object(phi.target)
+    ls, lt = phi._limit_objects()
     a = lt.anchor
     table = {x: phi.hom_at(a)(ls.coordinate(x, a)) for x in ls.elements()}
     return Homomorphism(ls.carrier, lt.carrier, table=table)
@@ -365,13 +377,7 @@ class SurjectivityReport:
     missed: object | None
 
     def to_json(self) -> dict:
-        return {
-            "levelwise_epi": True,
-            "limit_epi": self.limit_epi,
-            "source_depth": self.source_depth,
-            "target_depth": self.target_depth,
-            "missed": self.missed,
-        }
+        return {"levelwise_epi": True, **asdict(self)}
 
 
 def check_inverse_limit_surjectivity(phi: SystemMorphism) -> SurjectivityReport:
@@ -383,8 +389,7 @@ def check_inverse_limit_surjectivity(phi: SystemMorphism) -> SurjectivityReport:
     bad = phi.first_non_epi_level()
     if bad is not None:
         raise LevelwiseNotEpiError(f"level map {bad} is not surjective")
-    ls = limit_object(phi.source)
-    lt = limit_object(phi.target)
+    ls, lt = phi._limit_objects()
     f = induced_limit_map(phi)
     hit = {f(x) for x in ls.elements()}
     missed = sorted(set(lt.elements()) - hit)
@@ -407,12 +412,7 @@ class SectionReport:
     witness: dict | None
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "levels_checked": self.levels_checked,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def retract_product_element(system: InverseSystem, coord, bound: int,
@@ -538,7 +538,10 @@ def system_from_json(data: dict) -> InverseSystem:
         except (TypeError, ValueError):
             raise ParseError(
                 "diagram.index: expected \"w\" or an integer string") from None
-    theory = parse_theory(_field(data, "theory"))
+    theory_text = _field(data, "theory")
+    if not isinstance(theory_text, str):
+        raise ParseError("diagram.theory: expected a theory literal string")
+    theory = parse_theory(theory_text)
     prefix_data = _field(data, "prefix")
     if not isinstance(prefix_data, list) or not prefix_data:
         raise ParseError("diagram.prefix: expected a nonempty list")

@@ -7,19 +7,19 @@ Two concrete kinds plus submodules:
                         elements are int tuples.
   FreeSymbolic(th, X)   the module of formal terms over X; operations build
                         term nodes, nothing is reduced.
-  Submodule(parent, S)  a subset verified to hold zero and be closed under +.
+  Submodule(parent, S)  a subset holding zero and closed under +.
 
 The infinitary sum is partial everywhere: a family may be summed exactly when
 its nonzero part is finite, and a divergent request raises DivergentSumError
 rather than returning anything.  In FreeSymbolic the sum is total as a formal
 Sum node.
 
-Each law is checked once, in the form that implies the others: over Z/n
-negation and scalars are repeated addition, so a finite subset holding zero
-and closed under + is a submodule, and an additive table is a module map.
-A homomorphism is a verified table between finite instances, checked at
-construction time by f(0) = 0 and f(x + g) = f(x) + f(g) for every x and
-every generator g; a bad table is rejected with a witness.
+Each object is checked once, for what its construction leaves open; over
+Z/n negation and scalars are repeated addition, so + is all there is to check.
+A Homomorphism table is checked by f(0) = 0 and f(x + g) = f(x) + f(g) for
+every x and generator g, a linear extension only on its generator images, and
+a Submodule carrier on every pair; images of maps and limit carriers hold by
+construction and carry a generating set.  A rejection names its witness.
 """
 
 from __future__ import annotations
@@ -192,12 +192,24 @@ class FiniteMod(ModuleInstance):
 @dataclass(frozen=True)
 class Submodule(ModuleInstance):
     """A subset of a finite instance holding zero and closed under +, which
-    for a finite subset implies closure under negation and scalars."""
+    for a finite subset implies closure under negation and scalars.  A given
+    carrier is checked on every pair and generates itself; _spanned builds
+    one that holds by construction, with a generating set and no check."""
 
     parent: ModuleInstance
     carrier: tuple  # sorted tuple of parent elements
+    _gens = None  # the generating set of a _spanned submodule; not a field
+
+    @classmethod
+    def _spanned(cls, parent, carrier, gens):
+        sub = cls.__new__(cls)
+        object.__setattr__(sub, "_gens", tuple(gens))
+        sub.__init__(parent, carrier)  # __post_init__ skips the pair check
+        return sub
 
     def __post_init__(self):
+        if self._gens is not None:
+            return  # spanned by construction
         cs = set(self.carrier)
         z = self.parent.zero()
         if z not in cs:
@@ -232,8 +244,8 @@ class Submodule(ModuleInstance):
         return x in self.carrier
 
     def generators(self):
-        """The carrier itself: any set generates itself."""
-        return self.carrier
+        """The generating set of a spanned submodule, else the carrier."""
+        return self.carrier if self._gens is None else self._gens
 
     @property
     def literal(self):
@@ -338,7 +350,8 @@ class Homomorphism:
     The table is verified by f(0) = 0 and f(x + g) = f(x) + f(g) for every x
     and every g in domain.generators(): by induction on g-words f is
     additive, and an additive map of Z/n-modules keeps negation and scalars.
-    A domain without a finite carrier raises InfiniteCarrierError.
+    A domain without a finite carrier raises InfiniteCarrierError.  Tables
+    that hold by construction skip the check with _checked=True.
     """
 
     __slots__ = ("domain", "codomain", "table")
@@ -382,17 +395,30 @@ class Homomorphism:
 
     @staticmethod
     def from_generator_images(domain: FiniteMod, codomain, images):
-        """Linear extension of e_i -> images[i]; verified like any table."""
+        """Linear extension of e_i -> images[i], one codomain add per element.
+        It is a map exactly when each image, reduced into the codomain, lies
+        there and is killed by the order of e_i, so only that is checked."""
         if len(images) != len(domain.shape):
             raise HomomorphismValidationError(
                 f"need {len(domain.shape)} generator images")
-        table = {}
-        for x in domain.elements():
-            acc = codomain.zero()
-            for c, g in zip(x, images):
-                acc = codomain.add(acc, codomain.scal(c, g))
-            table[x] = acc
-        return Homomorphism(domain, codomain, table=table)
+        # e_i = 0 in a Z/1 component, so its image is read as 0
+        images = [codomain.scal(1 % m, g) for m, g in zip(domain.shape, images)]
+        zero = codomain.zero()
+        table = {(): zero}
+        for m, g in zip(domain.shape, images):
+            grown = {}
+            for x, v in table.items():
+                grown[x + (0,)] = v
+                for c in range(1, m):
+                    grown[x + (c,)] = v = codomain.add(v, g)
+            table = grown
+        hom = Homomorphism(domain, codomain, table, _checked=True)
+        for e, m, g in zip(domain.generators(), domain.shape, images):
+            if not codomain.contains(g) or codomain.scal(m, g) != zero:
+                raise HomomorphismValidationError(
+                    f"{e!r} -> {g!r} does not extend: the image is outside "
+                    f"the codomain or not killed by {m}", e)
+        return hom
 
     @staticmethod
     def identity(module):
@@ -434,9 +460,10 @@ class Homomorphism:
 
 
 def image(f: Homomorphism):
-    """The set-image as a verified Submodule plus its inclusion map."""
+    """The set-image, spanned by the generator images, and its inclusion."""
     carrier = tuple(sorted(set(f.table.values())))
-    sub = Submodule(f.codomain, carrier)
+    sub = Submodule._spanned(f.codomain, carrier,
+                             [f(g) for g in f.domain.generators()])
     incl = Homomorphism(sub, f.codomain, table={x: x for x in carrier},
                         _checked=True)
     return sub, incl

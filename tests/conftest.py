@@ -1,10 +1,11 @@
 """Shared hypothesis strategies and fixtures."""
 
 import hypothesis.strategies as st
+import pytest
 
-from translim import (INDEX, ZERO, ZERO_TERM, App, Lim, PwcSeq, Sum, Var,
-                      from_int, omega_power, sample_points_below, scal,
-                      standard_battery)
+from translim import (INDEX, ZERO, ZERO_TERM, App, FiniteMod, Lim, PwcSeq,
+                      Submodule, Sum, Var, from_int, omega_power,
+                      sample_points_below, scal, standard_battery)
 
 
 def ordinals(max_depth: int = 2, max_terms: int = 3, max_coeff: int = 3):
@@ -86,3 +87,26 @@ def term_families(draw, alpha, length, depth):
     pieces = [(lo, hi, draw(terms_over(alpha, depth, in_family=True)))
               for lo, hi in zip(bounds, bounds[1:])]
     return PwcSeq.from_pieces(pieces)
+
+
+@pytest.fixture
+def pair_check_adds(monkeypatch):
+    """A one-item list counting the parent additions that Submodule
+    constructors make, i.e. the work of the pair check on a carrier."""
+    count, inside = [0], [0]
+    post_init, add = Submodule.__post_init__, FiniteMod.add
+
+    def counted_post_init(self):
+        inside[0] += 1
+        try:
+            post_init(self)
+        finally:
+            inside[0] -= 1
+
+    def counted_add(self, a, b):
+        count[0] += inside[0] > 0
+        return add(self, a, b)
+
+    monkeypatch.setattr(Submodule, "__post_init__", counted_post_init)
+    monkeypatch.setattr(FiniteMod, "add", counted_add)
+    return count

@@ -1,0 +1,96 @@
+"""Regenerate diagram_corpus.json: CLI argv lists with output digests.
+
+The corpus covers `diagram sample --mod 2..8 --seed 0..4`, `diagram check`
+and `diagram limit` (text and --json) on each sample, `suite run all
+--seed 0..2`, and `check ab5` for rings 1..4 x sets 1, 3, 4, w x both
+theories, text and --json.
+
+Each entry is an argv list plus the sha256 of the JSON text of
+[exit code, stdout, stderr] that `translim.cli.main(argv)` produces.  An
+argv item of the form "@sample:<mod>:<seed>" stands for a file holding the
+stdout of `diagram sample --mod <mod> --seed <seed>`.
+
+Run from the repository root after an intentional output change:
+
+    PYTHONPATH=src python3 tests/golden/make_diagram_corpus.py
+
+and review the diff before committing.  tests/test_diagram_corpus.py
+replays the corpus in process.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+from translim.cli import main
+
+CORPUS = pathlib.Path(__file__).with_name("diagram_corpus.json")
+SAMPLE = "@sample:"
+
+
+def argv_lists():
+    runs = []
+    for mod in range(2, 9):
+        for seed in range(5):
+            runs.append(["diagram", "sample", "--mod", str(mod),
+                         "--seed", str(seed)])
+            ref = f"{SAMPLE}{mod}:{seed}"
+            for verb in ("check", "limit"):
+                runs.append(["diagram", verb, ref])
+                runs.append(["diagram", verb, ref, "--json"])
+    for seed in range(3):
+        runs.append(["suite", "run", "all", "--seed", str(seed)])
+    for ring in range(1, 5):
+        for index in ("1", "3", "4", "w"):
+            for theory in ("inf-add", "fin-add"):
+                argv = ["check", "ab5", "--ring", str(ring), "--set", index,
+                        "--theory", theory]
+                runs += [argv, argv + ["--json"]]
+    return runs
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(result):
+    return hashlib.sha256(json.dumps(list(result)).encode()).hexdigest()
+
+
+def expand(argv, workdir):
+    """argv with every sample reference replaced by a written sample file."""
+    out = []
+    for arg in argv:
+        if arg.startswith(SAMPLE):
+            mod, seed = arg[len(SAMPLE):].split(":")
+            path = pathlib.Path(workdir) / f"sample_{mod}_{seed}.json"
+            if not path.exists():
+                code, text, _ = run(["diagram", "sample", "--mod", mod,
+                                     "--seed", seed])
+                if code != 0:
+                    raise RuntimeError(f"diagram sample failed for {arg}")
+                path.write_text(text, encoding="utf-8")
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+def build():
+    with tempfile.TemporaryDirectory() as workdir:
+        return [{"argv": argv, "sha256": digest(run(expand(argv, workdir)))}
+                for argv in argv_lists()]
+
+
+if __name__ == "__main__":
+    entries = build()
+    CORPUS.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries)
+                      + "\n]\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)

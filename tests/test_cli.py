@@ -360,14 +360,15 @@ def test_diagram_check_bad_field(capsys, tmp_path):
 # -- usage errors --------------------------------------------------------------
 
 BAD_LEVEL = "bad-level:"  # argv placeholder for a diagram file with that level
+BAD_THEORY = "bad-theory:"  # ... with that JSON text as its theory
 NESTED = "nested:"  # argv placeholder for a file of that many '['
 DEEP = "recursion limit"
 
 
-def _diagram_with_level(tmp_path, level) -> str:
+def _diagram_with_level(tmp_path, level, theory="add-inf mod 2") -> str:
     path = tmp_path / "bad-level.json"
     path.write_text(json.dumps({
-        "index": "w", "theory": "add-inf mod 2", "prefix": ["Z/2", level],
+        "index": "w", "theory": theory, "prefix": ["Z/2", level],
         "tail": "constant", "maps": [[[[0], [0]], [[1], [1]]]]}),
         encoding="utf-8")
     return str(path)
@@ -376,6 +377,9 @@ def _diagram_with_level(tmp_path, level) -> str:
 def _argv_file(tmp_path, arg) -> str:
     if arg.startswith(BAD_LEVEL):
         return _diagram_with_level(tmp_path, arg[len(BAD_LEVEL):])
+    if arg.startswith(BAD_THEORY):
+        return _diagram_with_level(tmp_path, "Z/2",
+                                   json.loads(arg[len(BAD_THEORY):]))
     if arg.startswith(NESTED):
         path = tmp_path / "nested.json"
         path.write_text("[" * int(arg[len(NESTED):]), encoding="utf-8")
@@ -392,6 +396,8 @@ def _argv_file(tmp_path, arg) -> str:
      "diagram.prefix[1]: cyclic order must be >= 1"),
     (("diagram", "check", BAD_LEVEL + "free(add-inf mod 2, w)"),
      "diagram.prefix[1]: expected Z/<n> or 0"),
+    (("diagram", "check", BAD_THEORY + "5"),
+     "diagram.theory: expected a theory literal string"),
     (("check", "ab5", "--ring", "2", "--set", "w*2"), "finite or w"),
     (("check", "refute", "--mod", "0"), "the modulus must be at least 1"),
     (("check", "limterm", "--alpha", "w", "--trials", "-1"),
@@ -405,7 +411,7 @@ def _argv_file(tmp_path, arg) -> str:
     (("check", "ab5", "--ring", "2", "--set", "600", "--theory", "fin-add",
       "--trials", "2"), DEEP),
 ], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
-        "level-order-0", "level-free", "ab5-set-w2", "refute-mod-0",
+        "level-order-0", "level-free", "theory-not-string", "ab5-set-w2", "refute-mod-0",
         "limterm-trials", "ab5-trials", "deep-ordinal", "deep-term",
         "deep-json", "ab5-deep-diagonal"])
 def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):

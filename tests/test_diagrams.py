@@ -17,12 +17,14 @@ from translim import (
     LevelwiseNotEpiError,
     ParseError,
     PwcSeq,
+    Submodule,
     TheoryMismatchError,
     ZERO,
     from_int,
     lim_eval,
     parse_instance,
 )
+from translim import diagrams
 from translim.diagrams import (
     InverseSystem,
     SystemMorphism,
@@ -204,6 +206,47 @@ def test_depth_of_multiplication_towers_is_at_most_log2_of_the_top(a, m):
     depth = _depth_within_log2_of_top(tower)
     if m % n == 2 % n:
         assert depth == a  # doubling meets the bound: Z/2^a, 2Z/2^a, ...
+
+
+def closure(module, gens):
+    """Breadth-first closure of zero and gens under +, within the module."""
+    seen, frontier = {module.zero()}, [module.zero()]
+    while frontier:
+        frontier = [y for y in {module.add(x, g) for x in frontier
+                                for g in gens} if y not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_limit_carriers_are_spanned_by_their_generators(
+        modulus, infinitary, seed):
+    system = random_system(random.Random(seed), modulus,
+                           infinitary=infinitary)
+    carrier = limit_object(system).carrier
+    assert closure(system.prefix[-1], carrier.generators()) == \
+        set(carrier.carrier)
+    Submodule(carrier.parent, carrier.carrier)  # the pair check passes
+
+
+def test_constant_limit_needs_no_pair_check(monkeypatch, pair_check_adds):
+    level = FiniteMod(4096, (4096,))
+    system = constant_system(level)
+    ops = [0]
+    for name in ("zero", "add", "neg", "scal", "contains"):
+        method = getattr(FiniteMod, name)
+
+        def counted(*args, method=method):
+            ops[0] += 1
+            return method(*args)
+
+        monkeypatch.setattr(FiniteMod, name, counted)
+    lobj = limit_object(system)
+    assert len(lobj.elements()) == 4096 and lobj.depth == 0
+    assert lobj.carrier.generators() == ((1,),)
+    assert ops[0] <= level.size
+    assert pair_check_adds[0] == 0
 
 
 def test_limit_of_capped_tower():
@@ -400,6 +443,39 @@ def test_limit_surjectivity_requires_levelwise_epi():
     psi = SystemMorphism(killed, killed, (IDENT, MULT2))
     with pytest.raises(LevelwiseNotEpiError, match="level map 1 "):
         check_inverse_limit_surjectivity(psi)
+
+
+def test_surjectivity_check_computes_each_limit_once(monkeypatch):
+    calls = [0]
+
+    def counted(system, original=limit_object):
+        calls[0] += 1
+        return original(system)
+
+    monkeypatch.setattr(diagrams, "limit_object", counted)
+    src = constant_system(Z4, levels=2)
+    tgt = constant_system(Z2m4, levels=2)
+    report = check_inverse_limit_surjectivity(
+        SystemMorphism(src, tgt, (MOD2, MOD2)))
+    assert report.limit_epi and calls[0] == 2
+    induced_limit_map(SystemMorphism(src, tgt, (MOD2, MOD2)))
+    assert calls[0] == 4
+
+
+def test_constant_tail_identity_is_built_once(monkeypatch):
+    system = constant_system(Z4, levels=2)
+    built = [0]
+
+    def identity(module, original=Homomorphism.identity):
+        built[0] += 1
+        return original(module)
+
+    monkeypatch.setattr(Homomorphism, "identity", staticmethod(identity))
+    past = system.map_at(1)
+    assert past == IDENT and past is system.map_at(2) is system.map_at(7)
+    assert built[0] == 1
+    assert system == constant_system(Z4, levels=2)
+    assert "_identity" not in repr(system)
 
 
 # -- the retraction ---------------------------------------------------------------------

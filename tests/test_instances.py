@@ -41,6 +41,7 @@ from translim.errors import HomomorphismValidationError
 Z2 = parse_instance("Z/2")
 Z4 = parse_instance("Z/4")
 Z2xZ4 = parse_instance("Z/2 x Z/4")
+Z2m4 = FiniteMod(4, (2,))  # Z/2 carried as a module over Z/4
 
 
 # -- exhaustive references: every law on every element ------------------------
@@ -390,6 +391,84 @@ def test_hom_check_on_image_domains_matches_the_exhaustive_laws(data):
         exhaustive_hom_laws(sub, cod, table)
 
 
+def verified_linear_extension(dom, cod, images):
+    """The old from_generator_images: build every entry from the raw
+    images, then verify the table like any other."""
+    if len(images) != len(dom.shape):
+        raise HomomorphismValidationError(
+            f"need {len(dom.shape)} generator images")
+    return Homomorphism(dom, cod,
+                        table=linear_table(dom, cod, images, dom.elements()))
+
+
+@st.composite
+def codomains(draw, modulus):
+    """A FiniteMod over Z/modulus, or a submodule of one: a checked carrier
+    or the image of a map, which is spanned by construction."""
+    cod = draw(finite_mods(modulus=modulus))
+    kind = draw(st.sampled_from(("module", "carrier", "image")))
+    if kind == "carrier":
+        picked = draw(st.lists(st.sampled_from(cod.elements()), max_size=3))
+        return Submodule(cod, span(cod, picked))
+    if kind == "image":
+        r = draw(st.integers(0, modulus))
+        return image(Homomorphism.from_function(
+            cod, cod, lambda x: cod.scal(r, x)))[0]
+    return cod
+
+
+@st.composite
+def generator_images(draw, dom, cod):
+    """Images for the generators of dom: elements of the codomain's parent
+    module, so they may miss a submodule or break the order condition,
+    some written with out-of-range or too few coordinates, and sometimes
+    one image too many or too few."""
+    parent = cod.parent if isinstance(cod, Submodule) else cod
+    images = []
+    for _ in dom.shape:
+        g = draw(st.sampled_from(parent.elements()))
+        shifts = draw(st.lists(st.integers(-2, 2), min_size=len(g),
+                               max_size=len(g)))
+        g = tuple(c + k * m for c, k, m in zip(g, shifts, parent.shape))
+        if g and draw(st.integers(0, 9)) == 0:
+            g = g[:-1]
+        images.append(g)
+    miscount = draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
+    if miscount == 1:
+        images.append(parent.zero())
+    elif miscount == -1 and images:
+        images.pop()
+    return images
+
+
+def _table_or_rejected(build):
+    try:
+        return build().table
+    except HomomorphismValidationError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_from_generator_images_matches_the_verified_table(data):
+    dom = data.draw(finite_mods())
+    cod = data.draw(codomains(dom.modulus))
+    images = data.draw(generator_images(dom, cod))
+    got = _table_or_rejected(
+        lambda: Homomorphism.from_generator_images(dom, cod, images))
+    assert got == _table_or_rejected(
+        lambda: verified_linear_extension(dom, cod, images))
+    if got is not None:
+        assert list(got) == dom.elements()
+
+
+def test_from_generator_images_reads_a_z1_image_as_zero():
+    dom = FiniteMod(4, (1, 4))
+    f = Homomorphism.from_generator_images(dom, Z4, [(1,), (2,)])
+    assert f == verified_linear_extension(dom, Z4, [(1,), (2,)])
+    assert f((0, 1)) == (2,)
+
+
 @pytest.mark.parametrize("shape", [(256,), (16, 16), (2,) * 8])
 def test_from_generator_images_is_linear_in_the_carrier(monkeypatch, shape):
     level = FiniteMod(math.lcm(*shape), shape)
@@ -406,7 +485,8 @@ def test_from_generator_images_is_linear_in_the_carrier(monkeypatch, shape):
     monkeypatch.undo()
     assert f == Homomorphism.identity(level)
     assert level.size == 256
-    assert ops[0] <= 8 * level.size * len(shape)
+    # one add per element, the rest per generator
+    assert ops[0] <= level.size + 4 * len(shape)
 
 
 def test_from_generator_images():
@@ -455,6 +535,20 @@ def test_image_and_regular_epi():
     free = FreeSymbolic(AdditiveTheory(4), from_int(1))
     with pytest.raises(InfiniteCarrierError):
         Homomorphism(free, Z4, {var(0): (1,), ZERO_TERM: (0,)})
+
+
+def test_spanned_submodules_keep_their_generators(pair_check_adds):
+    double = Homomorphism.from_generator_images(Z4, Z4, [(2,)])
+    sub, _ = image(double)
+    assert pair_check_adds[0] == 0
+    assert sub.generators() == ((2,),)
+    even = Submodule(Z4, ((0,), (2,)))
+    assert pair_check_adds[0] == 4
+    assert even.generators() == even.carrier
+    # the generating set is not part of the value
+    assert sub == even and hash(sub) == hash(even) and repr(sub) == repr(even)
+    # a map out of the image is verified on its generator
+    assert Homomorphism(sub, Z2m4, {(0,): (0,), (2,): (1,)})((2,)) == (1,)
 
 
 # -- literals -----------------------------------------------------------------------

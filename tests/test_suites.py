@@ -102,3 +102,11 @@ def test_suite_run_builds_each_sample_grid_once(capsys):
     # each miss ran the grid body once, and no grid was evicted and rebuilt
     assert info.misses == info.currsize < info.maxsize
     assert info.hits > info.misses
+
+
+def test_suite_run_makes_no_submodule_pair_check(capsys, pair_check_adds):
+    # every submodule the suites build is an image or a limit carrier,
+    # which hold by construction
+    assert main(["suite", "run", "all"]) == 0
+    capsys.readouterr()
+    assert pair_check_adds[0] == 0
