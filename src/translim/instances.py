@@ -198,12 +198,16 @@ class Submodule(ModuleInstance):
 
     parent: ModuleInstance
     carrier: tuple  # sorted tuple of parent elements
+    # the carrier as a set, for contains; derived, so equality, hash and
+    # repr skip it; each constructor passes on the set it builds anyway
+    members: set = field(init=False, repr=False, compare=False)
     _gens = None  # the generating set of a _spanned submodule; not a field
 
     @classmethod
-    def _spanned(cls, parent, carrier, gens):
+    def _spanned(cls, parent, carrier, gens, members):
         sub = cls.__new__(cls)
         object.__setattr__(sub, "_gens", tuple(gens))
+        object.__setattr__(sub, "members", members)
         sub.__init__(parent, carrier)  # __post_init__ skips the pair check
         return sub
 
@@ -211,6 +215,7 @@ class Submodule(ModuleInstance):
         if self._gens is not None:
             return  # spanned by construction
         cs = set(self.carrier)
+        object.__setattr__(self, "members", cs)
         z = self.parent.zero()
         if z not in cs:
             raise ValueError("submodule must contain zero")
@@ -241,7 +246,7 @@ class Submodule(ModuleInstance):
         return list(self.carrier)
 
     def contains(self, x):
-        return x in self.carrier
+        return x in self.members
 
     def generators(self):
         """The generating set of a spanned submodule, else the carrier."""
@@ -461,10 +466,10 @@ class Homomorphism:
 
 def image(f: Homomorphism):
     """The set-image, spanned by the generator images, and its inclusion."""
-    carrier = tuple(sorted(set(f.table.values())))
-    sub = Submodule._spanned(f.codomain, carrier,
-                             [f(g) for g in f.domain.generators()])
-    incl = Homomorphism(sub, f.codomain, table={x: x for x in carrier},
+    values = set(f.table.values())
+    sub = Submodule._spanned(f.codomain, tuple(sorted(values)),
+                             [f(g) for g in f.domain.generators()], values)
+    incl = Homomorphism(sub, f.codomain, table={x: x for x in sub.carrier},
                         _checked=True)
     return sub, incl
 

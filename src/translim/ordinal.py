@@ -1,13 +1,13 @@
 """Exact ordinal arithmetic below epsilon_0 in Cantor normal form.
 
 An ordinal is a finite sum  w^e1*c1 + w^e2*c2 + ... + w^ek*ck  with ordinal
-exponents e1 > e2 > ... > ek and positive integer coefficients.  The empty sum
-is 0.  This representation is unique, so structural equality is ordinal
-equality, and ordinal order is the lexicographic order of the CNF tuples,
-which the dataclass generates (Manolios & Vroon, JAR 2005).  Addition and
-left subtraction are total (left subtraction requires b <= a);
-multiplication is deliberately not part of the public surface: the `*n` in
-the textual form is the CNF coefficient, not an operation.
+exponents e1 > e2 > ... > ek and positive integer coefficients; the empty sum
+is 0.  An Ordinal *is* its unique CNF, the tuple ((e1, c1), ..., (ek, ck)), so
+order, equality and hashing are the tuple's own (Manolios & Vroon, JAR 2005):
+ZERO is falsy and equals (), and len(a) counts CNF terms.  Addition and left
+subtraction are total (left subtraction requires b <= a); multiplication is
+deliberately not part of the public surface: the `*n` in the textual form is
+the CNF coefficient, not an operation.
 
 >>> parse_ordinal("w+3") + parse_ordinal("w")
 Ordinal('w*2')
@@ -18,25 +18,23 @@ Ordinal('w*2')
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import OrdinalUnderflowError, ParseError
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Ordinal:
-    """Cantor normal form: tuple of (exponent, coefficient) pairs.
+class Ordinal(tuple):
+    """Cantor normal form: the tuple of (exponent, coefficient) pairs.
 
     Exponents are themselves Ordinal values, strictly decreasing along the
-    tuple; coefficients are >= 1.  Use the module helpers (from_int, omega,
+    tuple; coefficients are >= 1.  Use the module helpers (from_int,
     omega_power, parse_ordinal) rather than building tuples by hand.
 
-    Ordinal order is the order of the CNF tuple: the first differing term
-    decides by exponent, then by coefficient, and when one CNF extends the
-    other the longer one is larger, because its extra terms are positive.
+    Tuple order is ordinal order: the first differing term decides by
+    exponent, then by coefficient, and when one CNF extends the other the
+    longer one is larger, because its extra terms are positive.
     """
 
-    cnf: tuple = ()
+    __slots__ = ()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -45,56 +43,59 @@ class Ordinal:
             other = from_int(other)
         if not isinstance(other, Ordinal):
             return NotImplemented
-        if not other.cnf:
+        if not other:
             return self
-        if not self.cnf:
+        if not self:
             return other
-        e = other.cnf[0][0]
+        e, c = other[0]
         # keep our terms with exponent strictly above other's leading exponent
         keep = 0
-        for exp, _ in self.cnf:
+        for exp, _ in self:
             if exp > e:
                 keep += 1
             else:
                 break
-        merged = other.cnf
-        if keep < len(self.cnf) and self.cnf[keep][0] == e:
-            merged = ((e, self.cnf[keep][1] + other.cnf[0][1]),) + other.cnf[1:]
-        return Ordinal(self.cnf[:keep] + merged)
+        if keep < len(self) and self[keep][0] == e:
+            c += self[keep][1]
+        return Ordinal(self[:keep] + ((e, c),) + other[1:])
 
     def __radd__(self, other) -> "Ordinal":
         if isinstance(other, int):
             return from_int(other) + self
+        # NotImplemented here would fall back to tuple concatenation
+        raise TypeError(f"cannot add an Ordinal to a {type(other).__name__}")
+
+    def __mul__(self, other):  # not tuple repetition
         return NotImplemented
+
+    __rmul__ = __mul__
 
     # -- structure ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.cnf
+        return not self
 
     @property
     def is_successor(self) -> bool:
-        return bool(self.cnf) and self.cnf[-1][0] == ZERO
+        return bool(self) and not self[-1][0]
 
     @property
     def is_finite(self) -> bool:
-        return not self.cnf or (len(self.cnf) == 1 and self.cnf[0][0] == ZERO)
+        return not self or (len(self) == 1 and not self[0][0])
 
     def to_int(self) -> int:
-        if not self.cnf:
-            return 0
         if not self.is_finite:
             raise OrdinalUnderflowError(f"{self} is not a natural number")
-        return self.cnf[0][1]
+        return self[0][1] if self else 0
 
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
             raise OrdinalUnderflowError(f"{self} is not a successor")
-        e, c = self.cnf[-1]
+        e, c = self[-1]
         if c == 1:
-            return Ordinal(self.cnf[:-1])
-        return Ordinal(self.cnf[:-1] + ((e, c - 1),))
+            return Ordinal(self[:-1])
+        return Ordinal(self[:-1] + ((e, c - 1),))
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -135,20 +136,20 @@ def left_subtract(b: Ordinal, a: Ordinal) -> Ordinal:
     Ordinal('w+1')
     """
     j = 0
-    while j < len(b.cnf) and j < len(a.cnf) and b.cnf[j] == a.cnf[j]:
+    while j < len(b) and j < len(a) and b[j] == a[j]:
         j += 1
-    if j == len(b.cnf):
-        return Ordinal(a.cnf[j:])
-    if j == len(a.cnf):
+    if j == len(b):
+        return Ordinal(a[j:])
+    if j == len(a):
         raise OrdinalUnderflowError(f"{b} > {a}")
-    (eb, cb), (ea, ca) = b.cnf[j], a.cnf[j]
+    (eb, cb), (ea, ca) = b[j], a[j]
     if eb > ea:
         raise OrdinalUnderflowError(f"{b} > {a}")
     if eb < ea:
-        return Ordinal(a.cnf[j:])
+        return Ordinal(a[j:])
     if cb >= ca:
         raise OrdinalUnderflowError(f"{b} > {a}")
-    return Ordinal(((ea, ca - cb),) + a.cnf[j + 1:])
+    return Ordinal(((ea, ca - cb),) + a[j + 1:])
 
 
 def split_finite(a: Ordinal):
@@ -157,8 +158,8 @@ def split_finite(a: Ordinal):
     >>> split_finite(parse_ordinal("w^2+w*3+7"))
     (Ordinal('w^2+w*3'), 7)
     """
-    if a.cnf and a.cnf[-1][0] == ZERO:
-        return Ordinal(a.cnf[:-1]), a.cnf[-1][1]
+    if a and not a[-1][0]:
+        return Ordinal(a[:-1]), a[-1][1]
     return a, 0
 
 
@@ -254,17 +255,15 @@ def parse_ordinal(text: str) -> Ordinal:
 def _exp_needs_parens(e: Ordinal) -> bool:
     # bare exponents re-parse correctly only for naturals and single
     # coefficient-1 terms (w, w^w, ...); anything else gets parentheses
-    if e.is_finite:
-        return False
-    return len(e.cnf) > 1 or e.cnf[0][1] != 1
+    return not e.is_finite and (len(e) > 1 or e[0][1] != 1)
 
 
 def format_ordinal(a: Ordinal) -> str:
-    if not a.cnf:
+    if not a:
         return "0"
     parts = []
-    for e, c in a.cnf:
-        if e == ZERO:
+    for e, c in a:
+        if not e:
             parts.append(str(c))
             continue
         if e == ONE:
@@ -281,7 +280,7 @@ def format_ordinal(a: Ordinal) -> str:
 def exponents_in(a: Ordinal) -> set:
     """All exponents appearing anywhere in the CNF tree of a."""
     out = set()
-    for e, _ in a.cnf:
+    for e, _ in a:
         out.add(e)
         out |= exponents_in(e)
     return out
@@ -306,7 +305,7 @@ def _sample_grid(alpha: Ordinal) -> tuple:
         return ()
     pts = {ONE, from_int(2)}
     acc = ZERO
-    for e, c in alpha.cnf:
+    for e, c in alpha:
         for k in range(1, c + 1):
             pts.add(acc + omega_power(e, k))
         acc = acc + omega_power(e, c)

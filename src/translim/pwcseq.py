@@ -121,10 +121,7 @@ class PwcSeq:
     # -- access ---------------------------------------------------------------
 
     def pieces(self):
-        return [
-            (self.breakpoints[i], self.breakpoints[i + 1], self.values[i])
-            for i in range(len(self.values))
-        ]
+        return list(zip(self.breakpoints, self.breakpoints[1:], self.values))
 
     def value_at(self, g: Ordinal):
         if not g < self.length:

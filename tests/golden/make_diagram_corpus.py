@@ -3,7 +3,10 @@
 The corpus covers `diagram sample --mod 2..8 --seed 0..4`, `diagram check`
 and `diagram limit` (text and --json) on each sample, `suite run all
 --seed 0..2`, and `check ab5` for rings 1..4 x sets 1, 3, 4, w x both
-theories, text and --json.
+theories, text and --json.  It also covers the ordinal calculator on
+nested exponents (`ordinal add/sub/cmp` on every ordered pair of ORDINALS,
+`ordinal fmt/points` on each), and `check limterm`, `limterm build` and
+`sumterm build` on LIMTERM_ALPHAS x LIMTERM_MODULES, text and --json.
 
 Each entry is an argv list plus the sha256 of the JSON text of
 [exit code, stdout, stderr] that `translim.cli.main(argv)` produces.  An
@@ -31,6 +34,14 @@ from translim.cli import main
 CORPUS = pathlib.Path(__file__).with_name("diagram_corpus.json")
 SAMPLE = "@sample:"
 
+# Ordinals with nested exponents; "3+w^(w+1)+w^(w+1)*2" is a non-canonical
+# spelling that must normalize.
+ORDINALS = ["0", "5", "w*2+3", "w^(w+1)*2+5", "w^(w^2+1)+w^w*3",
+            "w^(w^(w+2)*3)+w^7*2+1", "w^w^w", "w^(w+1)*2+w^w",
+            "w^(w^2+1)+w^(w+1)", "3+w^(w+1)+w^(w+1)*2"]
+LIMTERM_ALPHAS = ["w", "w+1", "w*2", "w^2", "w^2+3", "w^w"]
+LIMTERM_MODULES = ["Z/2", "Z/4", "Z/2 x Z/2"]
+
 
 def argv_lists():
     runs = []
@@ -50,6 +61,23 @@ def argv_lists():
                 argv = ["check", "ab5", "--ring", str(ring), "--set", index,
                         "--theory", theory]
                 runs += [argv, argv + ["--json"]]
+    for op in ("add", "sub", "cmp"):
+        for a in ORDINALS:
+            for b in ORDINALS:
+                argv = ["ordinal", op, a, b]
+                runs += [argv, argv + ["--json"]]
+    for op in ("fmt", "points"):
+        for a in ORDINALS:
+            argv = ["ordinal", op, a]
+            runs += [argv, argv + ["--json"]]
+    for alpha in LIMTERM_ALPHAS:
+        for module in LIMTERM_MODULES:
+            argv = ["check", "limterm", "--alpha", alpha, "--module", module,
+                    "--trials", "30", "--seed", "3"]
+            runs += [argv, argv + ["--json"]]
+        for verb in ("limterm", "sumterm"):
+            argv = [verb, "build", "--alpha", alpha]
+            runs += [argv, argv + ["--json"]]
     return runs
 
 

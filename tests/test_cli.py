@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from translim import cli
+from translim import OMEGA, cli, diagrams, parse_instance
 from translim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -331,6 +331,25 @@ def test_diagram_sample_check_roundtrip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "diagram", "limit", str(path))
     assert code == 0
     assert out.splitlines()[0].startswith("limit: ")
+
+
+def test_diagram_limit_on_a_large_constant_system_is_not_quadratic(
+        capsys, tmp_path):
+    # each listed thread asks the limit carrier for membership once, so
+    # that test must not scan the 16384-element carrier
+    system = diagrams.InverseSystem(OMEGA, (parse_instance("Z/16384"),), (),
+                                    "constant")
+    path = tmp_path / "z16384.json"
+    path.write_text(json.dumps(diagrams.system_to_json(system)),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "diagram", "limit", str(path))
+    took = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "limit: 16384 threads, depth 0"
+    assert lines[-1] == "  16383 <- 16383"
+    assert took < 1.0
 
 
 def test_diagram_check_missing_file(capsys, tmp_path):

@@ -259,6 +259,19 @@ def test_submodule_check_matches_the_three_law_closure(m, data):
         three_law_closure(m, carrier)
 
 
+@settings(max_examples=100, deadline=None)
+@given(finite_mods(min_size=2), st.data())
+def test_submodule_membership_matches_the_carrier(m, data):
+    elems = st.sampled_from(m.elements())
+    picked = data.draw(st.lists(elems, min_size=1, max_size=4))
+    r = data.draw(st.integers(0, m.modulus - 1))
+    times_r = Homomorphism.from_generator_images(
+        m, m, [m.scal(r, g) for g in m.generators()])
+    for sub in (Submodule(m, span(m, picked)), image(times_r)[0]):
+        for x in m.elements():
+            assert sub.contains(x) == (x in sub.carrier)
+
+
 # -- FreeSymbolic -------------------------------------------------------------------
 
 def test_free_symbolic_formal_operations():

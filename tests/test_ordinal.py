@@ -18,6 +18,7 @@ from translim import (
     sample_points_below,
 )
 from translim.ordinal import (
+    Ordinal,
     compare,
     exponents_in,
     interval_cardinality,
@@ -100,13 +101,13 @@ def test_compare_total(a, b):
 def cnf_compare(a, b):
     """Term-by-term CNF comparison (the old hand-written comparator):
     first differing exponent, then coefficient, then the longer CNF."""
-    for (e1, c1), (e2, c2) in zip(a.cnf, b.cnf):
+    for (e1, c1), (e2, c2) in zip(a, b):
         k = cnf_compare(e1, e2)
         if k != 0:
             return k
         if c1 != c2:
             return -1 if c1 < c2 else 1
-    n1, n2 = len(a.cnf), len(b.cnf)
+    n1, n2 = len(a), len(b)
     if n1 == n2:
         return 0
     return -1 if n1 < n2 else 1
@@ -124,6 +125,85 @@ def test_tuple_order_matches_the_cnf_comparator(a, b):
 @given(st.lists(ordinals(max_depth=3, max_terms=4), max_size=8))
 def test_sorted_matches_the_cnf_comparator(xs):
     assert sorted(xs) == sorted(xs, key=functools.cmp_to_key(cnf_compare))
+
+
+def add_by_cnf_field(a, b):
+    """Ordinal.__add__ as written when the CNF was a dataclass field."""
+    a_cnf, b_cnf = tuple(a), tuple(b)
+    if not b_cnf:
+        return a
+    if not a_cnf:
+        return b
+    e = b_cnf[0][0]
+    keep = 0
+    for exp, _ in a_cnf:
+        if exp > e:
+            keep += 1
+        else:
+            break
+    merged = b_cnf
+    if keep < len(a_cnf) and a_cnf[keep][0] == e:
+        merged = ((e, a_cnf[keep][1] + b_cnf[0][1]),) + b_cnf[1:]
+    return Ordinal(a_cnf[:keep] + merged)
+
+
+def left_subtract_by_cnf_field(b, a):
+    """left_subtract as written when the CNF was a dataclass field."""
+    b_cnf, a_cnf = tuple(b), tuple(a)
+    j = 0
+    while j < len(b_cnf) and j < len(a_cnf) and b_cnf[j] == a_cnf[j]:
+        j += 1
+    if j == len(b_cnf):
+        return Ordinal(a_cnf[j:])
+    if j == len(a_cnf):
+        raise OrdinalUnderflowError(f"{b} > {a}")
+    (eb, cb), (ea, ca) = b_cnf[j], a_cnf[j]
+    if eb > ea:
+        raise OrdinalUnderflowError(f"{b} > {a}")
+    if eb < ea:
+        return Ordinal(a_cnf[j:])
+    if cb >= ca:
+        raise OrdinalUnderflowError(f"{b} > {a}")
+    return Ordinal(((ea, ca - cb),) + a_cnf[j + 1:])
+
+
+@given(ordinals(max_depth=3, max_terms=4), ordinals(max_depth=3, max_terms=4))
+def test_add_and_left_subtract_match_the_cnf_field_bodies(a, b):
+    total = a + b
+    assert type(total) is Ordinal and total == add_by_cnf_field(a, b)
+    for lo, hi in ((a, b), (b, a), (a, total)):
+        try:
+            expected = left_subtract_by_cnf_field(lo, hi)
+        except OrdinalUnderflowError:
+            with pytest.raises(OrdinalUnderflowError):
+                left_subtract(lo, hi)
+        else:
+            got = left_subtract(lo, hi)
+            assert type(got) is Ordinal and got == expected
+
+
+@given(st.lists(ordinals(max_depth=2, max_terms=2, max_coeff=2),
+                min_size=2, max_size=6))
+def test_equal_ordinals_hash_alike(xs):
+    for a in xs:
+        again = parse_ordinal(format_ordinal(a))
+        assert again == a and hash(again) == hash(a)
+        for b in xs:
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda: OMEGA * 2,
+    lambda: 2 * OMEGA,
+    lambda: () + OMEGA,
+    lambda: OMEGA + (),
+    lambda: OMEGA < (1,),
+], ids=["omega*2", "2*omega", "()+omega", "omega+()", "omega<(1,)"])
+def test_tuple_operators_are_not_ordinal_operators(operation):
+    # concatenation and repetition are not ordinal sum and product
+    with pytest.raises(TypeError):
+        operation()
 
 
 @given(ordinals(), ordinals())
@@ -172,7 +252,7 @@ def sample_points_by_construction(alpha):
         return []
     pts = {ONE, from_int(2)}
     acc = ZERO
-    for e, c in alpha.cnf:
+    for e, c in alpha:
         for k in range(1, c + 1):
             pts.add(acc + omega_power(e, k))
         acc = acc + omega_power(e, c)
@@ -226,7 +306,7 @@ def test_split_finite_is_limit_plus_natural(a):
 @settings(max_examples=40)
 def test_exponents_close_under_recursion(a):
     exps = exponents_in(a)
-    for e, _ in a.cnf:
+    for e, _ in a:
         assert e in exps
     for e in exps:
         assert exponents_in(e) <= exps
