@@ -8,8 +8,10 @@ importable for the long tail (sampling, suites, cli).
 from .errors import (DivergentSumError, HomomorphismValidationError,
                      IndexOutOfRangeError, InfiniteCarrierError,
                      InvalidAlphaError, LengthMismatchError,
-                     LevelwiseNotEpiError, OrdinalUnderflowError, ParseError,
-                     TheoryMismatchError, TranslimError, UnboundVariableError)
+                     LevelwiseNotEpiError, ModuleValidationError,
+                     OrdinalUnderflowError, ParseError, PositiveVerdictError,
+                     TheoryMismatchError, TranslimError, UnboundVariableError,
+                     UnknownSuiteError)
 from .ordinal import (OMEGA, ONE, ZERO, Ordinal, format_ordinal, from_int,
                       left_subtract, omega_power, parse_ordinal,
                       sample_points_below)

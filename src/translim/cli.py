@@ -20,7 +20,8 @@ import random
 import sys
 
 from . import ab5check, diagrams, sampling, suites, transfinite
-from .errors import ParseError, TranslimError
+from .errors import (InvalidAlphaError, OrdinalUnderflowError, ParseError,
+                     TranslimError)
 from .instances import FiniteMod, parse_instance, standard_battery
 from .ordinal import (OMEGA, compare, format_ordinal, left_subtract,
                       parse_ordinal, sample_points_below)
@@ -57,7 +58,11 @@ def _cmd_ordinal(args) -> int:
     if args.op == "add":
         result = format_ordinal(ords[0] + ords[1])
     elif args.op == "sub":
-        result = format_ordinal(left_subtract(ords[1], ords[0]))
+        try:
+            result = format_ordinal(left_subtract(ords[1], ords[0]))
+        except OrdinalUnderflowError as exc:
+            # the calculator checks nothing: a bad operand is a usage error
+            raise ParseError(f"{exc.__class__.__name__}: {exc}") from None
     elif args.op == "cmp":
         result = {-1: "lt", 0: "eq", 1: "gt"}[compare(ords[0], ords[1])]
     elif args.op == "fmt":
@@ -96,7 +101,10 @@ def _cmd_term(args) -> int:
 def _cmd_limterm(args) -> int:
     alpha = parse_ordinal(args.alpha)
     if args.verb == "build":
-        text = format_term(transfinite.build_lim_term(alpha))
+        try:
+            text = format_term(transfinite.build_lim_term(alpha))
+        except InvalidAlphaError as exc:
+            raise ParseError(f"{exc.__class__.__name__}: {exc}") from None
         _emit(args, [text], {"command": "limterm build", "term": text,
                              "alpha": args.alpha})
         return 0

@@ -126,19 +126,26 @@ class InverseSystem:
         return self._identity
 
     def push_down(self, x, j: int, i: int):
-        """The image at level i of the level-j element x (i <= j), one map
-        at a time.  Past the prefix a constant tail is identities, so the
-        push starts at the top of the prefix."""
+        """The image at level i of the level-j element x (i <= j), one table
+        lookup per map.  Past the prefix a constant tail is identities, so
+        the push starts at the top of the prefix; a repeated block applies
+        the last map until it gets there."""
         if i > j:
             raise IndexOutOfRangeError(f"no map from level {j} up to {i}")
-        if j >= self.height:
+        top = self.height - 1
+        if j > top:
             if self.index != OMEGA:
                 raise IndexOutOfRangeError(
                     f"level {j} of a height-{self.height} finite system")
             if self.tail == "constant":
-                j = self.height - 1
-        for k in range(j - 1, i - 1, -1):
-            x = self.map_at(k)(x)
+                j = top
+            else:
+                step = self.maps[-1].table
+                while j > top and j > i:
+                    x = step[x]
+                    j -= 1
+        for f in reversed(self.maps[i:j]):
+            x = f.table[x]
         return x
 
 
@@ -199,14 +206,14 @@ def limit_object(system: InverseSystem) -> LimitObject:
     if system.tail != "repeat-last-block":
         # a finite index or a constant tail: every top element anchors a
         # thread, and the levels above the top repeat it
-        lift = {x: x for x in current}
+        lift = dict(zip(current, current))
     else:
-        endo = system.maps[-1]
-        while (nxt := {endo(x) for x in current}) != current:
+        step = system.maps[-1].table.__getitem__
+        while (nxt := set(map(step, current))) != current:
             depth += 1
             current = nxt
-            gens = [endo(g) for g in gens]
-        lift = {endo(x): x for x in current}
+            gens = [step(g) for g in gens]
+        lift = dict(zip(map(step, current), current))
         # on the stabilized image the endomorphism is onto, hence bijective
         if len(lift) != len(current):
             raise TranslimError(

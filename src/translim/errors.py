@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Every error that the library raises deliberately derives from TranslimError, so
-callers can catch one class. Parse errors carry the offending position.
+callers can catch one class. Parse errors carry the offending position.  An
+error that a built-in error named before keeps that built-in as a second base,
+so `except ValueError` and `except KeyError` still catch it.
 """
 
 from __future__ import annotations
@@ -63,3 +65,20 @@ class HomomorphismValidationError(TranslimError):
     def __init__(self, message: str, witness=None):
         self.witness = witness
         super().__init__(message)
+
+
+class ModuleValidationError(TranslimError, ValueError):
+    """A modulus, shape or submodule carrier that defines no module or
+    theory; a carrier not closed under + carries the pair as its witness."""
+
+    def __init__(self, message: str, witness=None):
+        self.witness = witness
+        super().__init__(message)
+
+
+class PositiveVerdictError(TranslimError, ValueError):
+    """A refutation asked of a verdict that says the term exists."""
+
+
+class UnknownSuiteError(TranslimError, KeyError):
+    """A suite name that names no suite."""

@@ -20,6 +20,10 @@ A Homomorphism table is checked by f(0) = 0 and f(x + g) = f(x) + f(g) for
 every x and generator g, a linear extension only on its generator images, and
 a Submodule carrier on every pair; images of maps and limit carriers hold by
 construction and carry a generating set.  A rejection names its witness.
+
+Tables that hold by construction are built without a module operation per
+element: a linear extension as one integer list per codomain coordinate, the
+identity, zero and inclusion tables with dict(zip(...)) and dict.fromkeys.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
     DivergentSumError,
     HomomorphismValidationError,
     InfiniteCarrierError,
+    ModuleValidationError,
     ParseError,
     TheoryMismatchError,
     TranslimError,
@@ -98,10 +103,10 @@ class FiniteMod(ModuleInstance):
 
     def __post_init__(self):
         if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
+            raise ModuleValidationError("modulus must be >= 1")
         for m in self.shape:
             if m < 1 or self.modulus % m != 0:
-                raise ValueError(
+                raise ModuleValidationError(
                     f"component order {m} must divide the modulus {self.modulus}")
         object.__setattr__(self, "theory",
                            AdditiveTheory(self.modulus, self.infinitary))
@@ -128,7 +133,7 @@ class FiniteMod(ModuleInstance):
         return tuple([(r * x) % m for x, m in zip(a, self.shape)])
 
     def elements(self):
-        return [tuple(x) for x in itertools.product(*(range(m) for m in self.shape))]
+        return list(itertools.product(*map(range, self.shape)))
 
     def contains(self, x):
         return (isinstance(x, tuple) and len(x) == len(self.shape)
@@ -218,11 +223,12 @@ class Submodule(ModuleInstance):
         object.__setattr__(self, "members", cs)
         z = self.parent.zero()
         if z not in cs:
-            raise ValueError("submodule must contain zero")
+            raise ModuleValidationError("submodule must contain zero")
         for x in self.carrier:
             for y in self.carrier:
                 if self.parent.add(x, y) not in cs:
-                    raise ValueError(f"not closed under + at {x!r}, {y!r}")
+                    raise ModuleValidationError(
+                        f"not closed under + at {x!r}, {y!r}", (x, y))
 
     @property
     def theory(self):
@@ -261,15 +267,6 @@ class Submodule(ModuleInstance):
 
     def parse_element(self, text):
         return self.parent.parse_element(text)
-
-    def element_to_json(self, x):
-        return self.parent.element_to_json(x)
-
-    def element_from_json(self, data):
-        return self.parent.element_from_json(data)
-
-    def __str__(self):
-        return self.literal
 
 
 @dataclass(frozen=True)
@@ -342,9 +339,6 @@ class FreeSymbolic(ModuleInstance):
     def parse_element(self, text):
         return parse_term(text, self.theory_, self.generators)
 
-    def __str__(self):
-        return self.literal
-
 
 # -- homomorphisms -------------------------------------------------------------
 
@@ -384,10 +378,13 @@ class Homomorphism:
         if f[dom.zero()] != cod.zero():
             raise HomomorphismValidationError(
                 "zero is not preserved", dom.zero())
-        gens = dom.generators()
+        # a submodule adds as the module under it does
+        dom_add, cod_add = _underlying(dom).add, _underlying(cod).add
+        steps = [(g, f[g]) for g in dom.generators()]
         for x in elems:
-            for g in gens:
-                if f[dom.add(x, g)] != cod.add(f[x], f[g]):
+            fx = f[x]
+            for g, fg in steps:
+                if f[dom_add(x, g)] != cod_add(fx, fg):
                     raise HomomorphismValidationError(
                         f"addition broken at {x!r} + {g!r}", (x, g))
 
@@ -400,42 +397,51 @@ class Homomorphism:
 
     @staticmethod
     def from_generator_images(domain: FiniteMod, codomain, images):
-        """Linear extension of e_i -> images[i], one codomain add per element.
-        It is a map exactly when each image, reduced into the codomain, lies
-        there and is killed by the order of e_i, so only that is checked."""
+        """Linear extension of e_i -> images[i], built one codomain
+        coordinate at a time.  It is a map exactly when each image, reduced
+        into the codomain, lies there and is killed by the order of e_i, so
+        only that is checked, before anything is built."""
         if len(images) != len(domain.shape):
             raise HomomorphismValidationError(
                 f"need {len(domain.shape)} generator images")
         # e_i = 0 in a Z/1 component, so its image is read as 0
         images = [codomain.scal(1 % m, g) for m, g in zip(domain.shape, images)]
+        # the theories are checked before the images, the table comes last
+        hom = Homomorphism(domain, codomain, {}, _checked=True)
         zero = codomain.zero()
-        table = {(): zero}
-        for m, g in zip(domain.shape, images):
-            grown = {}
-            for x, v in table.items():
-                grown[x + (0,)] = v
-                for c in range(1, m):
-                    grown[x + (c,)] = v = codomain.add(v, g)
-            table = grown
-        hom = Homomorphism(domain, codomain, table, _checked=True)
         for e, m, g in zip(domain.generators(), domain.shape, images):
             if not codomain.contains(g) or codomain.scal(m, g) != zero:
                 raise HomomorphismValidationError(
                     f"{e!r} -> {g!r} does not extend: the image is outside "
                     f"the codomain or not killed by {m}", e)
+        # coordinate j of the image of x is sum_i x_i * images[i][j] mod the
+        # j-th order, one list in elements() order per j; a free codomain
+        # fails every order condition, so it gets here from a rank-0 domain
+        orders = _underlying(codomain).shape if codomain.is_finite else ()
+        columns = []
+        for j, n in enumerate(orders):
+            col = [0]
+            for m, g in zip(domain.shape, images):
+                gj = g[j]
+                col = [(v + c * gj) % n for v in col for c in range(m)]
+            columns.append(col)
+        # zip builds each value tuple at its final size (see FiniteMod.add)
+        values = zip(*columns) if columns else itertools.repeat(zero)
+        hom.table = dict(zip(itertools.product(*map(range, domain.shape)),
+                             values))
         return hom
 
     @staticmethod
     def identity(module):
-        return Homomorphism(module, module,
-                            table={x: x for x in module.elements()},
+        elems = module.elements()
+        return Homomorphism(module, module, dict(zip(elems, elems)),
                             _checked=True)
 
     @staticmethod
     def zero_map(domain, codomain):
         z = codomain.zero()
         return Homomorphism(domain, codomain,
-                            table={x: z for x in domain.elements()})
+                            dict.fromkeys(domain.elements(), z), _checked=True)
 
     # -- use -------------------------------------------------------------------
 
@@ -467,16 +473,26 @@ class Homomorphism:
 def image(f: Homomorphism):
     """The set-image, spanned by the generator images, and its inclusion."""
     values = set(f.table.values())
-    sub = Submodule._spanned(f.codomain, tuple(sorted(values)),
+    carrier = tuple(sorted(values))
+    sub = Submodule._spanned(f.codomain, carrier,
                              [f(g) for g in f.domain.generators()], values)
-    incl = Homomorphism(sub, f.codomain, table={x: x for x in sub.carrier},
+    incl = Homomorphism(sub, f.codomain, dict(zip(carrier, carrier)),
                         _checked=True)
     return sub, incl
 
 
 def is_regular_epi(f: Homomorphism) -> bool:
-    """Surjectivity; regular epimorphisms of modules are exactly these."""
-    return set(f.table.values()) == set(f.codomain.elements())
+    """Surjectivity; regular epimorphisms of modules are exactly these.
+    Every value lies in the codomain, so the map is onto exactly when it
+    takes as many values as the codomain has elements."""
+    return len(set(f.table.values())) == f.codomain.size
+
+
+def _underlying(module):
+    """The module a tower of submodules sits in (module itself if none)."""
+    while isinstance(module, Submodule):
+        module = module.parent
+    return module
 
 
 def zero_module(modulus: int, infinitary: bool = True) -> FiniteMod:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from . import ab5check, diagrams, sampling, transfinite
-from .errors import DivergentSumError, LevelwiseNotEpiError
+from .errors import DivergentSumError, LevelwiseNotEpiError, UnknownSuiteError
 from .instances import FiniteMod, Homomorphism, standard_battery
 from .ordinal import OMEGA, ZERO, format_ordinal, from_int, parse_ordinal
 from .pwcseq import PwcSeq, format_pwc
@@ -390,5 +390,5 @@ def run_suite(name: str, seed: int = 0):
         return [fn(seed) for fn in
                 (transfinite_suite, diagrams_suite, ab5_suite)]
     if name not in _SUITES:
-        raise KeyError(f"unknown suite {name!r}")
+        raise UnknownSuiteError(f"unknown suite {name!r}")
     return [_SUITES[name](seed)]

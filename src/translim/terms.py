@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
+    ModuleValidationError,
     ParseError,
     TheoryMismatchError,
     UnboundVariableError,
@@ -59,7 +60,7 @@ class AdditiveTheory:
 
     def __post_init__(self):
         if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
+            raise ModuleValidationError("modulus must be >= 1")
 
     def arity(self, op) -> int:
         if op == "+":
@@ -358,8 +359,18 @@ def _tokenize_term(text: str):
             i += 1
             continue
         if c == "[":
-            j = text.find(")", i)
-            if j < 0:
+            # the interval closes at the ")" that balances the parentheses
+            # opened inside it, as in [0,w^(w+1))
+            j, depth = i + 1, 0
+            while j < n:
+                if text[j] == "(":
+                    depth += 1
+                elif text[j] == ")":
+                    if not depth:
+                        break
+                    depth -= 1
+                j += 1
+            else:
                 raise ParseError("unterminated interval", i)
             if text[j + 1:j + 3] != "->":
                 raise ParseError("interval must be followed by '->'", j + 1)

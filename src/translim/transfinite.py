@@ -34,6 +34,7 @@ from .errors import (
     DivergentSumError,
     InvalidAlphaError,
     LengthMismatchError,
+    PositiveVerdictError,
     TranslimError,
 )
 from .instances import FiniteMod
@@ -342,7 +343,8 @@ class FinitaryLimitVerdict:
 
     def challenge(self, term) -> RefutationWitness:
         if self.exists:
-            raise ValueError("verdict is positive; there is nothing to refute")
+            raise PositiveVerdictError(
+                "verdict is positive; there is nothing to refute")
         theory = AdditiveTheory(self.modulus, infinitary=False)
         check_term(theory, term, self.alpha)
         module = FiniteMod(self.modulus, (self.modulus,), infinitary=False)

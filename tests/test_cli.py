@@ -8,14 +8,19 @@ intentional output change:
 and review the diff before committing.
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import time
 
 import pytest
+from hypothesis import example, given, settings
 
-from translim import OMEGA, cli, diagrams, parse_instance
+from conftest import ordinals
+from translim import (OMEGA, cli, diagrams, format_ordinal, parse_instance,
+                      parse_ordinal)
 from translim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -60,13 +65,6 @@ def test_ordinal_points_golden(capsys):
     code, out, _ = run_cli(capsys, "ordinal", "points", "w*2")
     assert code == 0
     check_golden("ordinal_points_w2.txt", out)
-
-
-def test_ordinal_sub_underflow_is_check_failure(capsys):
-    code, out, err = run_cli(capsys, "ordinal", "sub", "3", "w")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("check failed: OrdinalUnderflowError:")
 
 
 def test_ordinal_usage_errors(capsys):
@@ -115,6 +113,30 @@ def test_sumterm_build_golden(capsys):
     code, out, _ = run_cli(capsys, "sumterm", "build", "--alpha", "w")
     assert (code, out) == (0, "(sum w [0,w)->idx)\n")
     check_golden("sumterm_build_w.txt", out)
+
+
+def _cli(*argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(ordinals(max_depth=3))
+@example(parse_ordinal("w^(w+1)"))
+@example(parse_ordinal("w^(w^2+1)+w^w*3"))
+def test_term_parse_reads_back_built_terms(alpha):
+    # an interval closes at the ")" that balances the ones inside it
+    for command in ("limterm", "sumterm"):
+        code, built, _ = _cli(command, "build", "--alpha",
+                              format_ordinal(alpha))
+        if command == "limterm" and alpha.is_zero:
+            assert code == 2  # a limit term needs arity at least 1
+            continue
+        assert code == 0
+        assert _cli("term", "parse", built.strip()) == (0, built, "")
 
 
 def test_sumterm_eval_finite_support(capsys):
@@ -429,10 +451,16 @@ def _argv_file(tmp_path, arg) -> str:
     # the finitary diagonal term for 600 is a 599-deep chain of +
     (("check", "ab5", "--ring", "2", "--set", "600", "--theory", "fin-add",
       "--trials", "2"), DEEP),
+    # the calculators check nothing: a bad operand is a usage error
+    (("ordinal", "sub", "3", "w"), "OrdinalUnderflowError: w > 3"),
+    (("ordinal", "sub", "w", "w+1"), "OrdinalUnderflowError: w+1 > w"),
+    (("limterm", "build", "--alpha", "0"),
+     "InvalidAlphaError: a limit term needs arity at least 1"),
 ], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
         "level-order-0", "level-free", "theory-not-string", "ab5-set-w2", "refute-mod-0",
         "limterm-trials", "ab5-trials", "deep-ordinal", "deep-term",
-        "deep-json", "ab5-deep-diagonal"])
+        "deep-json", "ab5-deep-diagonal", "ordinal-sub-underflow",
+        "ordinal-sub-underflow-w", "limterm-build-alpha-0"])
 def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):
     argv = [_argv_file(tmp_path, a) for a in argv]
     code, out, err = run_cli(capsys, *argv)

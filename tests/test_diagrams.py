@@ -41,7 +41,8 @@ from translim.diagrams import (
     system_to_json,
 )
 from translim.errors import HomomorphismValidationError
-from translim.sampling import random_hom, random_system
+from translim.sampling import (random_hom, random_surjective_system_morphism,
+                               random_system)
 
 Z4 = parse_instance("Z/4")
 Z2m4 = FiniteMod(4, (2,))  # Z/2 carried as a module over Z/4
@@ -158,6 +159,51 @@ def test_push_down_matches_composite_tables_on_doubling_tower(a):
                                        "repeat-last-block"))
 
 
+def push_down_by_map_calls(system, x, j, i):
+    """InverseSystem.push_down as it was, one map_at call per step."""
+    if i > j:
+        raise IndexOutOfRangeError(f"no map from level {j} up to {i}")
+    if j >= system.height:
+        if system.index != OMEGA:
+            raise IndexOutOfRangeError(
+                f"level {j} of a height-{system.height} finite system")
+        if system.tail == "constant":
+            j = system.height - 1
+    for k in range(j - 1, i - 1, -1):
+        x = system.map_at(k)(x)
+    return x
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (IndexOutOfRangeError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def _sampled_systems(rng, modulus):
+    """A random system and both ends of a random levelwise-surjective
+    morphism, each over omega and cut to its prefix."""
+    phi = random_surjective_system_morphism(rng, modulus)
+    systems = (random_system(rng, modulus), phi.source, phi.target)
+    return [s for system in systems for s in (system, _as_finite(system))]
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_push_down_matches_the_map_call_body(modulus, seed):
+    for system in _sampled_systems(random.Random(seed), modulus):
+        for j in range(system.height + 3):
+            # a non-element is a KeyError wherever a map is applied
+            xs = [*system.level(0).elements(), ("junk",)]
+            if j < system.height or system.index == OMEGA:
+                xs[:-1] = system.level(j).elements()
+            for i in range(j + 2):
+                for x in xs:
+                    assert _outcome(lambda: system.push_down(x, j, i)) == \
+                        _outcome(lambda: push_down_by_map_calls(system, x, j, i))
+
+
 # -- limits ------------------------------------------------------------------------
 
 def test_limit_of_constant_system():
@@ -247,6 +293,34 @@ def test_constant_limit_needs_no_pair_check(monkeypatch, pair_check_adds):
     assert lobj.carrier.generators() == ((1,),)
     assert ops[0] <= level.size
     assert pair_check_adds[0] == 0
+
+
+def image_chain_by_calls(system):
+    """limit_object's image chain as it was, one map call per element: the
+    carrier, its generators, the depth and the lift."""
+    top = system.prefix[-1]
+    current = set(top.elements())
+    gens = top.generators()
+    depth = 0
+    if system.tail != "repeat-last-block":
+        lift = {x: x for x in current}
+    else:
+        endo = system.maps[-1]
+        while (nxt := {endo(x) for x in current}) != current:
+            depth += 1
+            current = nxt
+            gens = [endo(g) for g in gens]
+        lift = {endo(x): x for x in current}
+    return current, tuple(gens), depth, lift
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_limit_chain_matches_the_call_body(modulus, seed):
+    for system in _sampled_systems(random.Random(seed), modulus):
+        lobj = limit_object(system)
+        assert (lobj.carrier.members, lobj.carrier.generators(), lobj.depth,
+                lobj._lift) == image_chain_by_calls(system)
 
 
 def test_limit_of_capped_tower():

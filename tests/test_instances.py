@@ -1,6 +1,7 @@
 """Module instances, homomorphism verification, and instance literals."""
 
 import math
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -23,6 +24,7 @@ from translim import (
     Submodule,
     Sum,
     TheoryMismatchError,
+    TranslimError,
     UnboundVariableError,
     ZERO_TERM,
     from_int,
@@ -36,7 +38,9 @@ from translim import (
     var,
     zero_module,
 )
-from translim.errors import HomomorphismValidationError
+from translim.errors import HomomorphismValidationError, ModuleValidationError
+from translim.sampling import (random_hom, random_surjective_system_morphism,
+                               random_system)
 
 Z2 = parse_instance("Z/2")
 Z4 = parse_instance("Z/4")
@@ -244,6 +248,20 @@ def test_submodule_closure_checked():
         Submodule(Z4, ((0,), (1,)))  # 1+1=2 is missing
     with pytest.raises(ValueError):
         Submodule(Z4, ((1,), (3,)))  # no zero
+
+
+def test_module_errors_are_translim_errors_with_witnesses():
+    with pytest.raises(ModuleValidationError) as info:
+        Submodule(Z4, ((0,), (1,)))
+    assert info.value.witness == ((1,), (1,))
+    assert str(info.value) == "not closed under + at (1,), (1,)"
+    for build in (lambda: Submodule(Z4, ((1,), (3,))),
+                  lambda: FiniteMod(0, ()), lambda: FiniteMod(4, (3,)),
+                  lambda: AdditiveTheory(0)):
+        with pytest.raises(TranslimError):
+            build()
+    with pytest.raises(ParseError):
+        parse_theory("add-inf mod 0")
 
 
 @settings(max_examples=150, deadline=None)
@@ -498,8 +516,17 @@ def test_from_generator_images_is_linear_in_the_carrier(monkeypatch, shape):
     monkeypatch.undo()
     assert f == Homomorphism.identity(level)
     assert level.size == 256
-    # one add per element, the rest per generator
-    assert ops[0] <= level.size + 4 * len(shape)
+    # the checks make a few operations per generator; the build makes none
+    assert ops[0] <= 4 * len(shape)
+
+
+def test_from_generator_images_into_a_free_module():
+    free = FreeSymbolic(AdditiveTheory(4), from_int(1))
+    assert Homomorphism.from_generator_images(
+        zero_module(4), free, []).table == {(): ZERO_TERM}
+    # formal terms are never reduced, so 4 * x0 is not zero
+    with pytest.raises(HomomorphismValidationError):
+        Homomorphism.from_generator_images(Z4, free, [var(0)])
 
 
 def test_from_generator_images():
@@ -562,6 +589,128 @@ def test_spanned_submodules_keep_their_generators(pair_check_adds):
     assert sub == even and hash(sub) == hash(even) and repr(sub) == repr(even)
     # a map out of the image is verified on its generator
     assert Homomorphism(sub, Z2m4, {(0,): (0,), (2,): (1,)})((2,)) == (1,)
+
+
+# -- table-speed maps against the bodies they replaced --------------------------
+
+def verify_by_module_calls(dom, cod, f):
+    """Homomorphism._verify as it was, every read and add made through the
+    instances' own methods: the reference for messages and witnesses."""
+    elems = dom.elements()
+    for x in elems:
+        if x not in f:
+            raise HomomorphismValidationError(f"table missing {x!r}", x)
+        if not cod.contains(f[x]):
+            raise HomomorphismValidationError(
+                f"value {f[x]!r} outside the codomain", x)
+    if f[dom.zero()] != cod.zero():
+        raise HomomorphismValidationError(
+            "zero is not preserved", dom.zero())
+    gens = dom.generators()
+    for x in elems:
+        for g in gens:
+            if f[dom.add(x, g)] != cod.add(f[x], f[g]):
+                raise HomomorphismValidationError(
+                    f"addition broken at {x!r} + {g!r}", (x, g))
+
+
+def identity_by_comprehension(module):
+    return Homomorphism(module, module,
+                        table={x: x for x in module.elements()},
+                        _checked=True)
+
+
+def zero_map_by_verification(domain, codomain):
+    z = codomain.zero()
+    return Homomorphism(domain, codomain,
+                        table={x: z for x in domain.elements()})
+
+
+def regular_epi_by_sets(f):
+    return set(f.table.values()) == set(f.codomain.elements())
+
+
+def _verdict(check):
+    """None if check passes, else the rejection's message and witness."""
+    try:
+        check()
+    except HomomorphismValidationError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def _same_verdicts(dom, cod, table):
+    got = _verdict(lambda: Homomorphism(dom, cod, table))
+    assert got == _verdict(lambda: verify_by_module_calls(dom, cod, table))
+    return got
+
+
+def _parent(module):
+    return module.parent if isinstance(module, Submodule) else module
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_matches_the_module_call_body(data):
+    modulus = data.draw(st.integers(1, 8))
+    dom, cod = data.draw(codomains(modulus)), data.draw(codomains(modulus))
+    table = data.draw(tables(_parent(dom), _parent(cod), dom.elements()))
+    _same_verdicts(dom, cod, table)
+
+
+def _sampled_maps(rng, modulus):
+    """Maps of a random system and of a random levelwise-surjective
+    morphism: its level maps and both systems' maps."""
+    system = random_system(rng, modulus)
+    phi = random_surjective_system_morphism(rng, modulus)
+    return (*system.maps, *phi.homs, *phi.source.maps, *phi.target.maps)
+
+
+def _tampered_tables(rng, f):
+    """f's table with one value moved, one key dropped, one value outside."""
+    x = rng.choice(list(f.table))
+    cod = _parent(f.codomain)
+    moved = dict(f.table)
+    moved[x] = rng.choice(cod.elements())
+    dropped = dict(f.table)
+    del dropped[x]
+    outside = dict(f.table)
+    outside[x] = tuple(c + m for c, m in zip(f.table[x], cod.shape))
+    return moved, dropped, outside
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32))
+def test_verify_matches_on_sampled_and_tampered_maps(modulus, seed):
+    rng = random.Random(seed)
+    for f in _sampled_maps(rng, modulus):
+        assert _same_verdicts(f.domain, f.codomain, dict(f.table)) is None
+        for table in _tampered_tables(rng, f):
+            _same_verdicts(f.domain, f.codomain, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_identity_and_zero_map_match_the_old_tables(data):
+    modulus = data.draw(st.integers(1, 8))
+    dom, cod = data.draw(codomains(modulus)), data.draw(codomains(modulus))
+    ident, old = Homomorphism.identity(dom), identity_by_comprehension(dom)
+    assert list(ident.table.items()) == list(old.table.items())
+    # the zero table passes the check it now skips
+    zmap, old = Homomorphism.zero_map(dom, cod), zero_map_by_verification(dom, cod)
+    assert list(zmap.table.items()) == list(old.table.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32), st.data())
+def test_regular_epi_matches_the_set_comparison(modulus, seed, data):
+    rng = random.Random(seed)
+    dom = data.draw(finite_mods(modulus=modulus))
+    cod = data.draw(codomains(modulus))
+    maps = [random_hom(rng, dom, cod), *_sampled_maps(rng, modulus)]
+    maps += [image(f)[1] for f in maps]
+    for f in maps:
+        assert is_regular_epi(f) == regular_epi_by_sets(f)
 
 
 # -- literals -----------------------------------------------------------------------

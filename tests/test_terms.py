@@ -29,6 +29,7 @@ from translim import (
     format_term,
     from_int,
     parse_instance,
+    parse_ordinal,
     parse_term,
     sample_points_below,
     scal,
@@ -118,6 +119,26 @@ def test_parse_free_signature_constants():
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_term(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(sum w [0,w", "unterminated interval (at position 7)"),
+    ("(sum w [0,w) 1)", "interval must be followed by '->' (at position 12)"),
+    ("(sum w [0,w->idx)",
+     "interval must be followed by '->' (at position 17)"),
+    ("(sum w^(w+1) [0,w^(w+1)) idx)",
+     "interval must be followed by '->' (at position 24)"),
+])
+def test_interval_errors_name_their_position(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_term(text)
+    assert str(info.value) == message
+
+
+def test_intervals_close_at_the_balancing_parenthesis():
+    t = parse_term("(lim w^(w+1) [0,w^(w+1))->idx)")
+    assert t == Lim(parse_ordinal("w^(w+1)"),
+                    basis_family(parse_ordinal("w^(w+1)")))
 
 
 def test_parse_declared_length_must_match_pieces():
