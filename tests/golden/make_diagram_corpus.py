@@ -7,6 +7,10 @@ theories, text and --json.  It also covers the ordinal calculator on
 nested exponents (`ordinal add/sub/cmp` on every ordered pair of ORDINALS,
 `ordinal fmt/points` on each), and `check limterm`, `limterm build` and
 `sumterm build` on LIMTERM_ALPHAS x LIMTERM_MODULES, text and --json.
+The parser rows run `term parse` on the `limterm build`/`sumterm build`
+spelling of each of ORDINALS, and `term eval`, `limterm eval` and
+`sumterm eval` on FAMILIES, whose bounds nest exponents and carry blanks,
+text and --json.
 
 Each entry is an argv list plus the sha256 of the JSON text of
 [exit code, stdout, stderr] that `translim.cli.main(argv)` produces.  An
@@ -41,6 +45,36 @@ ORDINALS = ["0", "5", "w*2+3", "w^(w+1)*2+5", "w^(w^2+1)+w^w*3",
             "w^(w^2+1)+w^(w+1)", "3+w^(w+1)+w^(w+1)*2"]
 LIMTERM_ALPHAS = ["w", "w+1", "w*2", "w^2", "w^2+3", "w^w"]
 LIMTERM_MODULES = ["Z/2", "Z/4", "Z/2 x Z/2"]
+# (alpha, family over alpha in Z/4, a term over alpha): ordinal bounds with
+# parenthesized exponents and blanks where the grammar allows them
+FAMILIES = [
+    ("5", "[0,2)->1; [ 2 , 5 )->2", "(+ x4 (- x0))"),
+    ("w*2+3", "[0,w)->0;[w,w+2)->1;[w+2,w*2+3)->0",
+     "(sum w*2+3 [0,3)->idx [3,w*2+3)->x0)"),
+    ("w^(w+1)*2+5",
+     "[0,w^(w+1))->0; [w^(w+1), w^(w+1)+1)->2; [w^(w+1)+1,w^(w+1)*2)->0;"
+     " [w^(w+1)*2,w^(w+1)*2+5)->3",
+     "(+ xw^(w+1) (- xw^(w+1)*2+4))"),
+    ("w^(w^2+1)+w^w*3",
+     "[ 0 , 3 ) -> 1 ; [3, w^( w^2 + 1 ) + w^w * 3 ) -> 0",
+     "(lim w^(w^2+1)+w^w*3 [0, w^(w^2+1))->idx [w^(w^2+1),"
+     "w^( w^2+1 )+w^w*3)->(scal 3 x2))"),
+    ("w^(w^(w+2)*3)+w^7*2+1",
+     "[0,w^(w^(w+2)*3))->0;[w^(w^(w+2)*3),w^(w^(w+2)*3)+w^7*2)->0;"
+     "[w^(w^(w+2)*3)+w^7*2,w^(w^(w+2)*3)+w^7*2+1)->1",
+     "(sum w^(w^(w+2)*3)+w^7*2+1 [0,1)->idx [1,w^(w^(w+2)*3)+w^7*2+1)->zero)"),
+    ("w^w^w", "[0, w^w)->1; [w^w , w^w^w)->3", "(- xw^w)"),
+    ("3+w^(w+1)+w^(w+1)*2",
+     "[0,w^(w+1)*2)->0; [ w^(w+1)*2 , w^(w+1)*2+2 ) -> 2;"
+     "[w^(w+1)*2+2,w^(w+1)*3)->0",
+     "(lim w^(w+1)*3 [0,w^(w+1)*3)->idx)"),
+]
+
+
+def built(head, alpha):
+    """The `limterm build`/`sumterm build` spelling of the term over alpha."""
+    return f"({head} {alpha})" if alpha == "0" else \
+        f"({head} {alpha} [0,{alpha})->idx)"
 
 
 def argv_lists():
@@ -77,6 +111,17 @@ def argv_lists():
             runs += [argv, argv + ["--json"]]
         for verb in ("limterm", "sumterm"):
             argv = [verb, "build", "--alpha", alpha]
+            runs += [argv, argv + ["--json"]]
+    for a in ORDINALS:
+        for head in ("lim", "sum"):
+            argv = ["term", "parse", built(head, a)]
+            runs += [argv, argv + ["--json"]]
+    for alpha, seq, expr in FAMILIES:
+        for argv in (["term", "eval", expr],
+                     ["term", "eval", built("lim", alpha)],
+                     ["limterm", "eval", "--alpha", alpha],
+                     ["sumterm", "eval", "--alpha", alpha]):
+            argv += ["--module", "Z/4", "--seq", seq]
             runs += [argv, argv + ["--json"]]
     return runs
 
