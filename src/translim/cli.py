@@ -151,9 +151,16 @@ def _check_trials(args):
         raise ParseError("--trials must be at least 0")
 
 
+def _positive_ordinal(text: str, flag: str):
+    ordinal = parse_ordinal(text)
+    if ordinal.is_zero:
+        raise ParseError(f"{flag} must be an ordinal of at least 1")
+    return ordinal
+
+
 def _cmd_check_limterm(args) -> int:
     _check_trials(args)
-    alpha = parse_ordinal(args.alpha)
+    alpha = _positive_ordinal(args.alpha, "--alpha")
     modules = ([parse_instance(args.module)] if args.module
                else list(standard_battery()))
     term = transfinite.build_lim_term(alpha)
@@ -191,9 +198,7 @@ def _cmd_check_ab5(args) -> int:
     if modulus < 1:
         raise ParseError("the modulus must be at least 1")
     _check_trials(args)
-    index = parse_ordinal(args.set)
-    if index.is_zero:
-        raise ParseError("--set must be an ordinal of at least 1")
+    index = _positive_ordinal(args.set, "--set")
     theory = AdditiveTheory(modulus, args.theory == "inf-add")
     if theory.infinitary and not (index == OMEGA or index.is_finite):
         raise ParseError("--set must be finite or w under inf-add; the "
@@ -226,7 +231,7 @@ def _cmd_check_ab5(args) -> int:
 def _cmd_check_refute(args) -> int:
     if args.mod < 1:
         raise ParseError("the modulus must be at least 1")
-    alpha = parse_ordinal(args.alpha)
+    alpha = _positive_ordinal(args.alpha, "--alpha")
     theory = AdditiveTheory(args.mod, infinitary=False)
     verdict = transfinite.refute_limit_term_finitary(args.mod, alpha)
     lines = [f"seed: {args.seed}", f"theory: {theory.literal}",

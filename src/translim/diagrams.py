@@ -541,10 +541,13 @@ def system_from_json(data: dict) -> InverseSystem:
         index = OMEGA
     else:
         try:
-            index = from_int(int(idx_text))
+            n = int(idx_text)
         except (TypeError, ValueError):
-            raise ParseError(
-                "diagram.index: expected \"w\" or an integer string") from None
+            n = 0
+        if n < 1:
+            raise ParseError('diagram.index: expected "w" or an integer '
+                             'string of at least 1')
+        index = from_int(n)
     theory_text = _field(data, "theory")
     if not isinstance(theory_text, str):
         raise ParseError("diagram.theory: expected a theory literal string")

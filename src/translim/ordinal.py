@@ -7,7 +7,8 @@ order, equality and hashing are the tuple's own (Manolios & Vroon, JAR 2005):
 ZERO is falsy and equals (), and len(a) counts CNF terms.  Addition and left
 subtraction are total (left subtraction requires b <= a); multiplication is
 deliberately not part of the public surface: the `*n` in the textual form is
-the CNF coefficient, not an operation.
+the CNF coefficient, not an operation.  The family and term parsers read
+ordinals with the same reader, in place; errors carry offsets into the text.
 
 >>> parse_ordinal("w+3") + parse_ordinal("w")
 Ordinal('w*2')
@@ -171,32 +172,52 @@ def interval_cardinality(b: Ordinal, e: Ordinal):
 
 # -- textual form -----------------------------------------------------------
 #
-#   ordinal := term ('+' term)*
-#   term    := 'w' ('^' exp)? ('*' nat)?  |  nat
-#   exp     := 'w' ('^' exp)? | nat | '(' ordinal ')'
+#   ordinal  := term ('+' term)*
+#   term     := 'w' ('^' exp)? ('*' nat)?  |  nat
+#   exp      := 'w' ('^' exp)? | nat | '(' ordinal ')'
+#   interval := '[' ordinal ',' ordinal ')'
 #
 # Parsing folds terms with +, so non-canonical spellings like "3+w" or "w+w"
 # normalize on construction; formatting always emits the unique CNF spelling.
 
 
 class _OrdParser:
-    def __init__(self, text: str):
+    """Reads the grammar above in place from `pos` in the caller's text, to
+    where the grammar ends; errors carry offsets into that text.  With
+    `blanks`, a ' ' may sit between any two characters: "1 0" is 10."""
+
+    def __init__(self, text: str, pos: int = 0, blanks: bool = True):
         self.text = text
-        self.pos = 0
+        self.pos = pos
+        self.blanks = blanks
 
     def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        if self.blanks:
+            while self.text.startswith(" ", self.pos):
+                self.pos += 1
+        return self.text[self.pos:self.pos + 1]
 
-    def fail(self, message):
-        raise ParseError(message, self.pos)
+    def space(self) -> str:  # skips all whitespace, not only ' '
+        while self.text[self.pos:self.pos + 1].isspace():
+            self.pos += 1
+        return self.text[self.pos:self.pos + 1]
+
+    def fail(self, message, pos=None):
+        raise ParseError(message, self.pos if pos is None else pos)
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}")
+        self.pos += 1
 
     def nat(self) -> int:
-        start = self.pos
+        digits = []
         while self.peek().isdigit():
+            digits.append(self.text[self.pos])
             self.pos += 1
-        if start == self.pos:
+        if not digits:
             self.fail("expected a number")
-        return int(self.text[start:self.pos])
+        return int("".join(digits))
 
     def exp(self) -> Ordinal:
         ch = self.peek()
@@ -209,9 +230,7 @@ class _OrdParser:
         if ch == "(":
             self.pos += 1
             val = self.sum()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
+            self.expect(")")
             return val
         if ch.isdigit():
             return from_int(self.nat())
@@ -241,14 +260,28 @@ class _OrdParser:
             val = val + self.term()
         return val
 
+    def interval(self):
+        """(lo, hi) of the next "[lo,hi)"; blanks may sit inside it."""
+        start = self.pos
+        blanks, self.blanks = self.blanks, True
+        self.expect("[")
+        lo = self.sum()
+        self.expect(",")
+        hi = self.sum()
+        if not self.peek():
+            self.fail("unterminated interval", start)
+        self.expect(")")
+        self.blanks = blanks
+        return lo, hi
+
 
 def parse_ordinal(text: str) -> Ordinal:
-    p = _OrdParser(text.replace(" ", ""))
-    if not p.text:
-        raise ParseError("empty ordinal", 0)
+    p = _OrdParser(text)
+    if not p.peek():
+        p.fail("empty ordinal")
     val = p.sum()
-    if p.pos != len(p.text):
-        p.fail(f"unexpected {p.text[p.pos]!r}")
+    if p.peek():
+        p.fail(f"unexpected {p.peek()!r}")
     return val
 
 

@@ -24,10 +24,10 @@ from .ordinal import (
     ZERO,
     ONE,
     Ordinal,
+    _OrdParser,
     format_ordinal,
     interval_cardinality,
     left_subtract,
-    parse_ordinal,
 )
 
 
@@ -230,38 +230,32 @@ class PwcSeq:
 
 
 # -- textual form -------------------------------------------------------------
-# semicolon-separated pieces  "[<ordinal>,<ordinal>) -> <value>"
+# semicolon-separated pieces  "[<ordinal>,<ordinal>) -> <value>", or "empty".
+# The ordinal reader reads each interval, so ' ' may sit anywhere inside it;
+# whitespace may surround a piece and its '->'.  A value runs to the next ';'.
 
 
 def parse_pwc(text: str, parse_value) -> PwcSeq:
-    text = text.strip()
-    if text in ("", "empty"):
+    if text.strip() in ("", "empty"):
         return PwcSeq.empty()
+    p = _OrdParser(text)
     pieces = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk.startswith("["):
-            raise ParseError(f"piece must start with '[': {chunk!r}")
-        # an ordinal bound may hold parentheses, w^(w+1), but never '->'
-        interval, arrow, value_text = chunk.partition("->")
-        if not arrow:
-            raise ParseError(f"piece missing '->': {chunk!r}")
-        interval = interval.strip()
-        if not interval.endswith(")"):
-            raise ParseError(f"piece missing ')': {chunk!r}")
-        try:
-            lo_text, hi_text = interval[1:-1].split(",")
-        except ValueError:
-            raise ParseError(f"interval needs one comma: {interval}") from None
-        lo = parse_ordinal(lo_text)
-        hi = parse_ordinal(hi_text)
+    while True:
+        p.space()
+        lo, hi = p.interval()
+        p.space()
+        if not text.startswith("->", p.pos):
+            p.fail("interval must be followed by '->'")
+        value_text, more, rest = text[p.pos + 2:].partition(";")
         value_text = value_text.strip()
         try:
             value = parse_value(value_text)
         except (ValueError, TypeError) as exc:
             raise ParseError(f"bad piece value {value_text!r}: {exc}") from exc
         pieces.append((lo, hi, value))
-    return PwcSeq.from_pieces(pieces)
+        if not more:
+            return PwcSeq.from_pieces(pieces)
+        p.pos = len(text) - len(rest)
 
 
 def format_pwc(seq: PwcSeq, format_value) -> str:

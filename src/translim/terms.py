@@ -24,22 +24,23 @@ by PwcSeq, nothing else is normalized).  Semantics lives in `evaluate`:
 Sum nodes go through the module's partial infinitary sum (error on divergent
 input), Lim nodes take the telescoped final-interval value, whose agreement
 with the defining difference-and-sum recursion (module `transfinite`) is
-audited in the test suite.
+audited in the test suite.  The textual form (see below) is read by recursive
+descent over the text, with every ordinal in it read in place.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     ModuleValidationError,
-    ParseError,
     TheoryMismatchError,
     UnboundVariableError,
 )
-from .ordinal import ONE, ZERO, Ordinal, format_ordinal, parse_ordinal
+from .ordinal import ONE, ZERO, Ordinal, _OrdParser, format_ordinal
 from .pwcseq import PwcSeq
 
 
@@ -341,100 +342,68 @@ def check_term(theory, term, variable_limit: Ordinal | None = None):
 
 # -- textual form ---------------------------------------------------------------
 #
-# S-expressions: (+ x0 x5), (- x1), (scal 3 x1), zero, idx,
-# (sum w [0,2)->x0 [2,w)->zero), (lim w [0,w)->idx), other operations by name.
+#   term  := word | '(' word term* ')' | '(scal' nat term ')'
+#          | '(' ('sum' | 'lim') ordinal (interval '->' term)* ')'
+#   word  := 'zero' | 'idx' | 'x' ordinal | the name of a nullary operation
+#
+# For example (+ x0 x5), (scal 3 x1), idx, (sum w [0,2)->x0 [2,w)->zero).
+# Whitespace separates items and a blank or a bracket ends a word, so the
+# ordinal of a variable or a length holds no blank; an interval may hold
+# blanks, [ 0 , w ), and '->' follows it directly.  Error positions are
+# offsets into the given text.
+
+_WORD = re.compile(r"[^\s()\[]*")
 
 
-def _tokenize_term(text: str):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            toks.append((c, c, i))
-            i += 1
-            continue
-        if c == "[":
-            # the interval closes at the ")" that balances the parentheses
-            # opened inside it, as in [0,w^(w+1))
-            j, depth = i + 1, 0
-            while j < n:
-                if text[j] == "(":
-                    depth += 1
-                elif text[j] == ")":
-                    if not depth:
-                        break
-                    depth -= 1
-                j += 1
-            else:
-                raise ParseError("unterminated interval", i)
-            if text[j + 1:j + 3] != "->":
-                raise ParseError("interval must be followed by '->'", j + 1)
-            toks.append(("piece", text[i + 1:j], i))
-            i = j + 3
-            continue
-        j = i
-        depth = 0
-        while j < n:
-            c2 = text[j]
-            if depth == 0 and (c2.isspace() or c2 in ")["):
-                break
-            if c2 == "(":
-                if j > i and text[j - 1] == "^":
-                    depth += 1
-                else:
-                    break
-            elif c2 == ")":
-                depth -= 1
-            j += 1
-        toks.append(("atom", text[i:j], i))
-        i = j
-    return toks
+class _TermParser(_OrdParser):
+    # the ordinal grammar's methods are term and sum; these read terms;
+    # built with blanks=False, because a blank ends the word of an ordinal
 
+    def word(self, what) -> str:
+        self.space()
+        start = self.pos
+        self.pos = _WORD.match(self.text, start).end()
+        if start == self.pos:
+            self.fail(f"expected {what}")
+        if self.text.startswith("^(", self.pos - 1):
+            self.fail("'^(' opens an exponent only inside an ordinal",
+                      self.pos - 1)
+        return self.text[start:self.pos]
 
-class _TermParser:
-    def __init__(self, text):
-        self.toks = _tokenize_term(text)
-        self.pos = 0
+    def word_ordinal(self) -> Ordinal:
+        ordinal = self.sum()
+        if _WORD.match(self.text, self.pos).end() != self.pos:
+            self.fail(f"unexpected {self.peek()!r}")
+        return ordinal
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, -1)
+    def node(self):
+        ch = self.space()
+        if ch == "(":
+            self.pos += 1
+            return self.compound()
+        if ch == "x" and _WORD.match(self.text, self.pos).end() > self.pos + 1:
+            self.pos += 1  # a variable: x and an ordinal make up the word
+            return Var(self.word_ordinal())
+        text = self.word("a term")
+        if text == "zero":
+            return ZERO_TERM
+        if text == "idx":
+            return INDEX
+        # an operation of arity 0; check_term decides whether the theory has it
+        return App(text, ())
 
-    def take(self):
-        tok = self.peek()
-        if tok[0] is None:
-            raise ParseError("unexpected end of term")
-        self.pos += 1
-        return tok
-
-    def atom_text(self, what):
-        kind, text, at = self.take()
-        if kind != "atom":
-            raise ParseError(f"expected {what}", at)
-        return text
-
-    def term(self):
-        kind, text, at = self.take()
-        if kind == "atom":
-            return self.leaf(text, at)
-        if kind != "(":
-            raise ParseError("expected a term", at)
-        head = self.atom_text("an operation")
+    def compound(self):
+        head = self.word("an operation")
         if head in ("sum", "lim"):
-            length = parse_ordinal(self.atom_text("a length ordinal"))
+            self.space()
+            length = self.word_ordinal()
             pieces = []
-            while self.peek()[0] == "piece":
-                _, inside, pat = self.take()
-                try:
-                    lo_text, hi_text = inside.split(",")
-                except ValueError:
-                    raise ParseError("interval needs one comma", pat) from None
-                pieces.append((parse_ordinal(lo_text), parse_ordinal(hi_text),
-                               self.term()))
+            while self.space() == "[":
+                lo, hi = self.interval()
+                if not self.text.startswith("->", self.pos):
+                    self.fail("interval must be followed by '->'")
+                self.pos += 2
+                pieces.append((lo, hi, self.node()))
             self.close()
             fam = PwcSeq.from_pieces(pieces)
             if fam.length != length:
@@ -442,41 +411,31 @@ class _TermParser:
                     f"pieces cover {fam.length}, node declares {length}")
             return (Sum if head == "sum" else Lim)(length, fam)
         if head == "scal":
-            r_text = self.atom_text("a scalar")
+            r_text = self.word("a scalar")
             if not r_text.isdigit():
-                raise ParseError(f"scalar must be a natural number: {r_text!r}")
-            body = self.term()
+                self.fail(f"scalar must be a natural number: {r_text!r}",
+                          self.pos - len(r_text))
+            body = self.node()
             self.close()
             return App(("scal", int(r_text)), (body,))
         args = []
-        while self.peek()[0] != ")":
-            if self.peek()[0] is None:
-                raise ParseError("missing ')'")
-            args.append(self.term())
-        self.close()
+        while self.space() != ")":
+            if not self.peek():
+                self.fail("missing ')'")
+            args.append(self.node())
+        self.pos += 1
         return App(head, tuple(args))
 
-    def leaf(self, text, at):
-        if text == "zero":
-            return ZERO_TERM
-        if text == "idx":
-            return INDEX
-        if text.startswith("x") and len(text) > 1:
-            return Var(parse_ordinal(text[1:]))
-        # an operation of arity 0; check_term decides whether the theory has it
-        return App(text, ())
-
     def close(self):
-        kind, _, at = self.take()
-        if kind != ")":
-            raise ParseError("expected ')'", at)
+        self.space()
+        self.expect(")")
 
 
 def parse_term(text: str, theory=None, variable_limit: Ordinal | None = None):
-    p = _TermParser(text)
-    t = p.term()
-    if p.pos != len(p.toks):
-        raise ParseError("trailing input after term", p.toks[p.pos][2])
+    p = _TermParser(text, blanks=False)
+    t = p.node()
+    if p.space():
+        p.fail("trailing input after term")
     if theory is not None:
         check_term(theory, t, variable_limit)
     return t

@@ -402,14 +402,16 @@ def test_diagram_check_bad_field(capsys, tmp_path):
 
 BAD_LEVEL = "bad-level:"  # argv placeholder for a diagram file with that level
 BAD_THEORY = "bad-theory:"  # ... with that JSON text as its theory
+BAD_INDEX = "bad-index:"  # ... with that index string
 NESTED = "nested:"  # argv placeholder for a file of that many '['
 DEEP = "recursion limit"
 
 
-def _diagram_with_level(tmp_path, level, theory="add-inf mod 2") -> str:
+def _diagram_with_level(tmp_path, level, theory="add-inf mod 2",
+                        index="w") -> str:
     path = tmp_path / "bad-level.json"
     path.write_text(json.dumps({
-        "index": "w", "theory": theory, "prefix": ["Z/2", level],
+        "index": index, "theory": theory, "prefix": ["Z/2", level],
         "tail": "constant", "maps": [[[[0], [0]], [[1], [1]]]]}),
         encoding="utf-8")
     return str(path)
@@ -421,6 +423,9 @@ def _argv_file(tmp_path, arg) -> str:
     if arg.startswith(BAD_THEORY):
         return _diagram_with_level(tmp_path, "Z/2",
                                    json.loads(arg[len(BAD_THEORY):]))
+    if arg.startswith(BAD_INDEX):
+        return _diagram_with_level(tmp_path, "Z/2",
+                                   index=arg[len(BAD_INDEX):])
     if arg.startswith(NESTED):
         path = tmp_path / "nested.json"
         path.write_text("[" * int(arg[len(NESTED):]), encoding="utf-8")
@@ -456,11 +461,21 @@ def _argv_file(tmp_path, arg) -> str:
     (("ordinal", "sub", "w", "w+1"), "OrdinalUnderflowError: w+1 > w"),
     (("limterm", "build", "--alpha", "0"),
      "InvalidAlphaError: a limit term needs arity at least 1"),
+    (("check", "limterm", "--alpha", "0", "--module", "Z/2"),
+     "--alpha must be an ordinal of at least 1"),
+    (("check", "refute", "--mod", "2", "--alpha", "0"),
+     "--alpha must be an ordinal of at least 1"),
+    (("diagram", "check", BAD_INDEX + "0"),
+     'diagram.index: expected "w" or an integer string of at least 1'),
+    (("diagram", "limit", BAD_INDEX + "-1"),
+     'diagram.index: expected "w" or an integer string of at least 1'),
 ], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
         "level-order-0", "level-free", "theory-not-string", "ab5-set-w2", "refute-mod-0",
         "limterm-trials", "ab5-trials", "deep-ordinal", "deep-term",
         "deep-json", "ab5-deep-diagonal", "ordinal-sub-underflow",
-        "ordinal-sub-underflow-w", "limterm-build-alpha-0"])
+        "ordinal-sub-underflow-w", "limterm-build-alpha-0",
+        "check-limterm-alpha-0", "refute-alpha-0", "diagram-index-0",
+        "diagram-index-negative"])
 def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):
     argv = [_argv_file(tmp_path, a) for a in argv]
     code, out, err = run_cli(capsys, *argv)

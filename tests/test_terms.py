@@ -124,8 +124,7 @@ def test_parse_rejects(text):
 @pytest.mark.parametrize("text,message", [
     ("(sum w [0,w", "unterminated interval (at position 7)"),
     ("(sum w [0,w) 1)", "interval must be followed by '->' (at position 12)"),
-    ("(sum w [0,w->idx)",
-     "interval must be followed by '->' (at position 17)"),
+    ("(sum w [0,w->idx)", "expected ')' (at position 11)"),
     ("(sum w^(w+1) [0,w^(w+1)) idx)",
      "interval must be followed by '->' (at position 24)"),
 ])
