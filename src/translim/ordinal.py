@@ -182,17 +182,19 @@ def interval_cardinality(b: Ordinal, e: Ordinal):
 
 
 class _OrdParser:
-    """Reads the grammar above in place from `pos` in the caller's text, to
-    where the grammar ends; errors carry offsets into that text.  With
-    `blanks`, a ' ' may sit between any two characters: "1 0" is 10."""
+    """Reads the grammar above in place, from `self.pos` in the caller's text
+    to where it ends; errors carry offsets into that text.  With `blanks`,
+    ' ' may sit anywhere: "1 0" is 10.  Without, only in an interval and in
+    an exponent's parentheses, not between '^' and '(', as in a term word."""
 
-    def __init__(self, text: str, pos: int = 0, blanks: bool = True):
+    def __init__(self, text: str, blanks: bool = True):
         self.text = text
-        self.pos = pos
+        self.pos = 0
         self.blanks = blanks
+        self.depth = 0  # open exponent parentheses
 
     def peek(self):
-        if self.blanks:
+        if self.blanks or self.depth:
             while self.text.startswith(" ", self.pos):
                 self.pos += 1
         return self.text[self.pos:self.pos + 1]
@@ -211,15 +213,16 @@ class _OrdParser:
         self.pos += 1
 
     def nat(self) -> int:
-        digits = []
+        start = self.pos
         while self.peek().isdigit():
-            digits.append(self.text[self.pos])
             self.pos += 1
+        digits = self.text[start:self.pos].replace(" ", "")
         if not digits:
             self.fail("expected a number")
-        return int("".join(digits))
+        return int(digits)
 
     def exp(self) -> Ordinal:
+        start = self.pos
         ch = self.peek()
         if ch == "w":
             self.pos += 1
@@ -228,9 +231,13 @@ class _OrdParser:
                 return omega_power(self.exp())
             return OMEGA
         if ch == "(":
+            if not self.blanks and self.pos != start:
+                self.fail("expected an exponent", start)
             self.pos += 1
+            self.depth += 1
             val = self.sum()
             self.expect(")")
+            self.depth -= 1
             return val
         if ch.isdigit():
             return from_int(self.nat())

@@ -348,16 +348,16 @@ def check_term(theory, term, variable_limit: Ordinal | None = None):
 #
 # For example (+ x0 x5), (scal 3 x1), idx, (sum w [0,2)->x0 [2,w)->zero).
 # Whitespace separates items and a blank or a bracket ends a word, so the
-# ordinal of a variable or a length holds no blank; an interval may hold
-# blanks, [ 0 , w ), and '->' follows it directly.  Error positions are
-# offsets into the given text.
+# ordinal of a variable or a length holds a blank only inside an exponent's
+# parentheses, xw^(w + 1); an interval may hold blanks, [ 0 , w ), and '->'
+# follows it directly.  Error positions are offsets into the given text.
 
 _WORD = re.compile(r"[^\s()\[]*")
 
 
 class _TermParser(_OrdParser):
-    # the ordinal grammar's methods are term and sum; these read terms;
-    # built with blanks=False, because a blank ends the word of an ordinal
+    # the ordinal grammar's methods are term and sum; these read terms, with
+    # blanks=False: a blank ends a word outside an exponent's parentheses
 
     def word(self, what) -> str:
         self.space()
@@ -404,7 +404,8 @@ class _TermParser(_OrdParser):
                     self.fail("interval must be followed by '->'")
                 self.pos += 2
                 pieces.append((lo, hi, self.node()))
-            self.close()
+            self.space()
+            self.expect(")")
             fam = PwcSeq.from_pieces(pieces)
             if fam.length != length:
                 raise LengthMismatchError(
@@ -416,7 +417,8 @@ class _TermParser(_OrdParser):
                 self.fail(f"scalar must be a natural number: {r_text!r}",
                           self.pos - len(r_text))
             body = self.node()
-            self.close()
+            self.space()
+            self.expect(")")
             return App(("scal", int(r_text)), (body,))
         args = []
         while self.space() != ")":
@@ -425,10 +427,6 @@ class _TermParser(_OrdParser):
             args.append(self.node())
         self.pos += 1
         return App(head, tuple(args))
-
-    def close(self):
-        self.space()
-        self.expect(")")
 
 
 def parse_term(text: str, theory=None, variable_limit: Ordinal | None = None):
