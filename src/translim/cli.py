@@ -21,7 +21,7 @@ import sys
 
 from . import ab5check, diagrams, sampling, suites, transfinite
 from .errors import (InvalidAlphaError, OrdinalUnderflowError, ParseError,
-                     TranslimError)
+                     TheoryMismatchError, TranslimError)
 from .instances import FiniteMod, parse_instance, standard_battery
 from .ordinal import (OMEGA, compare, format_ordinal, left_subtract,
                       parse_ordinal, sample_points_below)
@@ -78,16 +78,24 @@ def _cmd_ordinal(args) -> int:
 # -- term ------------------------------------------------------------------------
 
 
+def _term(text: str, theory, variable_limit=None):
+    try:
+        return parse_term(text, theory, variable_limit)
+    except TheoryMismatchError as exc:
+        # a term naming what its theory lacks is an input error
+        raise ParseError(f"{exc.__class__.__name__}: {exc}") from None
+
+
 def _cmd_term(args) -> int:
     if args.verb == "parse":
         theory = parse_theory(args.theory) if args.theory else None
-        term = parse_term(args.expr, theory)
+        term = _term(args.expr, theory)
         text = format_term(term)
         _emit(args, [text], {"command": "term parse", "term": text,
                              "theory": args.theory})
         return 0
     module = parse_instance(args.module)
-    term = parse_term(args.expr, module.theory)
+    term = _term(args.expr, module.theory)
     fam = _family(args.seq, module)
     value = module.format_element(evaluate(term, module, fam))
     _emit(args, [value], {"command": "term eval", "term": format_term(term),
@@ -253,7 +261,7 @@ def _cmd_check_refute(args) -> int:
     else:
         lines.append("verdict: no limit term exists")
         if args.term:
-            term = parse_term(args.term, theory, alpha)
+            term = _term(args.term, theory, alpha)
             witness = verdict.challenge(term)
             ok, details = transfinite.validate_refutation(witness, term)
             lines.append(f"challenged: {format_term(term)}")

@@ -11,8 +11,9 @@ Two concrete kinds plus submodules:
 
 The infinitary sum is partial everywhere: a family may be summed exactly when
 its nonzero part is finite, and a divergent request raises DivergentSumError
-rather than returning anything.  In FreeSymbolic the sum is total as a formal
-Sum node.
+rather than returning anything; on finite instances it adds n times the
+value of each nonzero piece of n points, so it costs O(pieces).  In
+FreeSymbolic the sum is total as a formal Sum node.
 
 Each object is checked once, for what its construction leaves open; over
 Z/n negation and scalars are repeated addition, so + is all there is to check.
@@ -41,7 +42,8 @@ from .errors import (
     TheoryMismatchError,
     TranslimError,
 )
-from .ordinal import Ordinal, format_ordinal, parse_ordinal
+from .ordinal import (Ordinal, format_ordinal, interval_cardinality,
+                      parse_ordinal)
 from .pwcseq import PwcSeq
 from .terms import (
     AdditiveTheory,
@@ -74,14 +76,21 @@ class ModuleInstance:
         return self.add(a, self.neg(b))
 
     def infinitary_sum(self, seq: PwcSeq):
-        """Sum of a PwcSeq of elements; defined only for finite nonzero part."""
-        support = seq.support_if_finite(self.zero())
-        if support is None:
-            raise DivergentSumError(
-                "family has a nonzero value on an infinite interval")
-        total = self.zero()
-        for _, v in support:
-            total = self.add(total, v)
+        """Sum of a PwcSeq of elements; defined only for finite nonzero part.
+
+        A nonzero piece of n points adds n times its value, so the cost
+        follows the number of pieces, not the number of points.
+        """
+        zero = self.zero()
+        total = zero
+        for lo, hi, v in seq.pieces():
+            if v == zero:
+                continue
+            n = interval_cardinality(lo, hi)
+            if n is None:
+                raise DivergentSumError(
+                    "family has a nonzero value on an infinite interval")
+            total = self.add(total, self.scal(n, v))
         return total
 
     @property

@@ -19,6 +19,7 @@ Ordinal('w*2')
 from __future__ import annotations
 
 import functools
+import sys
 
 from .errors import OrdinalUnderflowError, ParseError
 
@@ -214,12 +215,20 @@ class _OrdParser:
 
     def nat(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         digits = self.text[start:self.pos].replace(" ", "")
         if not digits:
             self.fail("expected a number")
-        return int(digits)
+        return self.integer(digits, start)
+
+    def integer(self, digits: str, start: int) -> int:
+        """int(digits) for a string of decimal digits read from start."""
+        try:
+            return int(digits)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            self.fail(f"number has more than {sys.get_int_max_str_digits()} "
+                      f"digits", start)
 
     def exp(self) -> Ordinal:
         start = self.pos
@@ -239,7 +248,7 @@ class _OrdParser:
             self.expect(")")
             self.depth -= 1
             return val
-        if ch.isdigit():
+        if ch.isdecimal():
             return from_int(self.nat())
         self.fail("expected an exponent")
 
@@ -256,7 +265,7 @@ class _OrdParser:
                 self.pos += 1
                 c = self.nat()
             return omega_power(e, c)
-        if ch.isdigit():
+        if ch.isdecimal():
             return from_int(self.nat())
         self.fail("expected 'w' or a number")
 

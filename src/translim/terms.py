@@ -413,13 +413,15 @@ class _TermParser(_OrdParser):
             return (Sum if head == "sum" else Lim)(length, fam)
         if head == "scal":
             r_text = self.word("a scalar")
-            if not r_text.isdigit():
+            r_start = self.pos - len(r_text)
+            if not r_text.isdecimal():
                 self.fail(f"scalar must be a natural number: {r_text!r}",
-                          self.pos - len(r_text))
+                          r_start)
+            r = self.integer(r_text, r_start)
             body = self.node()
             self.space()
             self.expect(")")
-            return App(("scal", int(r_text)), (body,))
+            return App(("scal", r), (body,))
         args = []
         while self.space() != ")":
             if not self.peek():

@@ -11,17 +11,22 @@ the difference family vanishes except at the finitely many piece starts
 and the outer sum is finite.  lim_eval computes exactly this in one pass
 over the pieces: the inner limit at a piece start lo is the recursion's
 value on the prefix [0, lo), which is the finite sum of the differences
-met so far, so it is carried along instead of recomputed.  lim_value is
-the telescoped final-interval value that the recursion provably collapses
-to; the suite case "limit recursion telescopes" and the test suite
+met so far, so it is carried along instead of recomputed.  On finite
+instances the running value after the last piece is the answer: it is the
+finite sum of the differences, added in the order that the infinitary sum
+would add them, so no difference family is built or summed again.  Over a
+free module the answer stays a formal Sum node.  lim_value is the
+telescoped final-interval value that the recursion provably collapses to;
+the suite case "limit recursion telescopes" and the test suite
 cross-check the two.
 
 Sums over a limit-length index are in turn limits of partial sums, which
 is what sum_eval_from_lim implements; it exists so that summation can be
-validated against the independent finite-support sum of the instances.
-A successor length is peeled one piece at a time: n equal points add up
-to n times their value, so the cost follows the number of pieces, not the
-size of the finite coefficients.
+validated against the independent finite-support sum of the instances,
+which adds n times the value of each nonzero piece of n points and so
+costs O(pieces).  A successor length is peeled one piece at a time: n
+equal points add up to n times their value, so the cost follows the
+number of pieces, not the size of the finite coefficients.
 """
 
 from __future__ import annotations
@@ -65,34 +70,48 @@ def lim_eval(module, fam: PwcSeq):
 
     At each piece start lo the running value is lim_eval(fam.prefix(lo)):
     by induction on the pieces it is the sum of the differences collected
-    before lo.  On finite instances each piece interior is spot-checked to
-    contribute a zero difference (the running value after the piece start
-    is the piece's value), which is the fact that makes the support
-    finite; a failure raises TranslimError naming the piece.  Over a free
-    module the running value is the formal sum of those differences.
+    before lo.  On finite instances it is added up as the pass goes, so
+    after the last piece it is the answer: the finite sum of all the
+    differences, in the order the infinitary sum would add them.  Each
+    piece interior is spot-checked to contribute a zero difference (the
+    running value after the piece start is the piece's value), which is
+    the fact that makes the support finite; a failure raises TranslimError
+    naming the piece.  Over a free module the running value is the formal
+    sum of those differences.
     """
     if fam.length.is_zero:
         return module.zero()
+    if not module.is_finite:
+        return _formal_lim(module, fam)
     zero = module.zero()
-    support = []
     running = zero
     for lo, hi, v in fam.pieces():
-        if not module.is_finite and not lo.is_zero:
-            running = module.infinitary_sum(
-                PwcSeq.from_support(support, lo, zero))
         d = module.sub(v, running)
         if d != zero:
-            support.append((lo, d))
-            if module.is_finite:
-                running = module.add(running, d)
-        if module.is_finite and lo + ONE < hi and running != v:
+            running = module.add(running, d)
+        if running != v and lo + ONE < hi:
             fmt = module.format_element
             raise TranslimError(
                 f"limit recursion: piece [{format_ordinal(lo)},"
                 f"{format_ordinal(hi)}) -> {fmt(v)} has a nonzero "
                 f"difference past its start (running limit {fmt(running)})")
-    diff = PwcSeq.from_support(support, fam.length, zero)
-    return module.infinitary_sum(diff)
+    return running
+
+
+def _formal_lim(module, fam: PwcSeq):
+    """lim_eval over a free module: the formal sum of the differences."""
+    zero = module.zero()
+    support = []
+    running = zero
+    for lo, _, v in fam.pieces():
+        if not lo.is_zero:
+            running = module.infinitary_sum(
+                PwcSeq.from_support(support, lo, zero))
+        d = module.sub(v, running)
+        if d != zero:
+            support.append((lo, d))
+    return module.infinitary_sum(
+        PwcSeq.from_support(support, fam.length, zero))
 
 
 def lim_value(module, fam: PwcSeq):

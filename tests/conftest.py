@@ -1,11 +1,15 @@
 """Shared hypothesis strategies and fixtures."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 
-from translim import (INDEX, ZERO, ZERO_TERM, App, FiniteMod, Lim, PwcSeq,
-                      Submodule, Sum, Var, from_int, omega_power,
+from translim import (INDEX, OMEGA, ZERO, ZERO_TERM, App, DivergentSumError,
+                      FiniteMod, Homomorphism, Lim, PwcSeq, Submodule, Sum,
+                      Var, from_int, image, omega_power, parse_ordinal,
                       sample_points_below, scal, standard_battery)
+from translim.sampling import random_pwc
 
 
 def ordinals(max_depth: int = 2, max_terms: int = 3, max_coeff: int = 3):
@@ -43,6 +47,60 @@ def pwc_over(draw, module_strategy=battery_modules, alpha_strategy=None,
     elems = st.sampled_from(module.elements())
     pieces = [(lo, hi, draw(elems)) for lo, hi in zip(bounds, bounds[1:])]
     return module, PwcSeq.from_pieces(pieces)
+
+
+@st.composite
+def battery_or_submodules(draw):
+    """A standard_battery() instance, or its image under x -> r*x: a
+    Submodule, whose operations are those of its parent."""
+    module = draw(battery_modules)
+    if draw(st.booleans()):
+        return module
+    r = draw(st.integers(0, module.modulus))
+    return image(Homomorphism.from_function(
+        module, module, lambda x: module.scal(r, x)))[0]
+
+
+# the grid below a coefficient c lists every step up to it, so random_pwc
+# cuts these lengths into finite pieces of up to thousands of points, next
+# to infinite pieces that make a nonzero value divergent
+LONG_LENGTHS = [parse_ordinal(t) for t in
+                ("5000", "w", "w+4000", "w*2+3000", "w^2+w*3+2500")]
+
+
+@st.composite
+def random_pwc_over(draw):
+    """(module, sampling.random_pwc family) pairs on LONG_LENGTHS."""
+    module = draw(battery_or_submodules())
+    alpha = draw(st.sampled_from(LONG_LENGTHS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return module, random_pwc(rng, module, alpha)
+
+
+def point_by_point_sum(module, seq):
+    """The infinitary sum that lists every point of every nonzero piece and
+    adds the values one at a time: the reference for the piecewise sum."""
+    support = seq.support_if_finite(module.zero())
+    if support is None:
+        raise DivergentSumError(
+            "family has a nonzero value on an infinite interval")
+    total = module.zero()
+    for _, v in support:
+        total = module.add(total, v)
+    return total
+
+
+def lengthy_pieces(k, length, zero=(0,)):
+    """k pieces: k-1 of `length` points with the values 1, 2, 3, 1, ...,
+    so that neighbours differ, then `zero` up to w."""
+    n = from_int(length)
+    pieces = []
+    lo = ZERO
+    for i in range(k - 1):
+        pieces.append((lo, lo + n, (i % 3 + 1,)))
+        lo = lo + n
+    pieces.append((lo, OMEGA, zero))
+    return PwcSeq.from_pieces(pieces)
 
 
 def _index_points(alpha):
@@ -109,4 +167,20 @@ def pair_check_adds(monkeypatch):
 
     monkeypatch.setattr(Submodule, "__post_init__", counted_post_init)
     monkeypatch.setattr(FiniteMod, "add", counted_add)
+    return count
+
+
+@pytest.fixture
+def module_ops(monkeypatch):
+    """A one-item list counting FiniteMod.add, neg and scal calls, which a
+    Submodule's operations make too."""
+    count = [0]
+    for name in ("add", "neg", "scal"):
+        method = getattr(FiniteMod, name)
+
+        def counted(*args, method=method):
+            count[0] += 1
+            return method(*args)
+
+        monkeypatch.setattr(FiniteMod, name, counted)
     return count

@@ -146,6 +146,18 @@ def test_sumterm_eval_finite_support(capsys):
     assert (code, out) == (0, "3\n")
 
 
+def test_term_eval_sums_ten_million_points_by_the_piece(capsys):
+    # the sum adds n times the value of a nonzero piece of n points, so the
+    # piece's length does not count
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "term", "eval", "(sum w [0,w)->idx)",
+                             "--module", "Z/2",
+                             "--seq", "[0,10000000)->1;[10000000,w)->0")
+    took = time.perf_counter() - start
+    assert (code, out, err) == (0, "0\n", "")
+    assert took < 1.0
+
+
 def test_sumterm_eval_divergent_is_check_failure(capsys):
     code, out, err = run_cli(capsys, "sumterm", "eval", "--alpha", "w",
                              "--module", "Z/4", "--seq", "[0,w)->1")
@@ -469,13 +481,34 @@ def _argv_file(tmp_path, arg) -> str:
      'diagram.index: expected "w" or an integer string of at least 1'),
     (("diagram", "limit", BAD_INDEX + "-1"),
      'diagram.index: expected "w" or an integer string of at least 1'),
+    # a digit that int() rejects is no digit; a number past the interpreter's
+    # limit on integer string conversion is a usage error, not a traceback
+    (("ordinal", "fmt", "\u00b2"), "expected 'w' or a number (at position 0)"),
+    (("term", "parse", "(scal \u00b2 x0)"),
+     "scalar must be a natural number: '\u00b2' (at position 6)"),
+    (("limterm", "eval", "--alpha", "w", "--module", "Z/2",
+      "--seq", "[0,\u00b2)->1"), "(at position 3)"),
+    (("ordinal", "fmt", "9" * 5000), "digits (at position 0)"),
+    (("term", "parse", "(scal " + "9" * 5000 + " x0)"),
+     "digits (at position 6)"),
+    # a term naming an operation its theory lacks is an input error
+    (("term", "parse", "(f x1)", "--theory", "add-inf mod 2"),
+     "TheoryMismatchError: unknown operation 'f'"),
+    (("term", "eval", "(f x0)", "--module", "Z/2", "--seq", "[0,1)->1"),
+     "TheoryMismatchError: unknown operation 'f'"),
+    (("check", "refute", "--mod", "2", "--term", "(f x0)"),
+     "TheoryMismatchError: unknown operation 'f'"),
 ], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
         "level-order-0", "level-free", "theory-not-string", "ab5-set-w2", "refute-mod-0",
         "limterm-trials", "ab5-trials", "deep-ordinal", "deep-term",
         "deep-json", "ab5-deep-diagonal", "ordinal-sub-underflow",
         "ordinal-sub-underflow-w", "limterm-build-alpha-0",
         "check-limterm-alpha-0", "refute-alpha-0", "diagram-index-0",
-        "diagram-index-negative"])
+        "diagram-index-negative", "ordinal-superscript-digit",
+        "scal-superscript-digit", "family-bound-superscript-digit",
+        "ordinal-too-many-digits", "scal-too-many-digits",
+        "term-parse-unknown-op", "term-eval-unknown-op",
+        "refute-unknown-op"])
 def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):
     argv = [_argv_file(tmp_path, a) for a in argv]
     code, out, err = run_cli(capsys, *argv)

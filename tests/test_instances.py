@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import battery_modules
+from conftest import (battery_modules, lengthy_pieces, point_by_point_sum,
+                      random_pwc_over)
 
 from translim import (
     OMEGA,
@@ -233,6 +234,35 @@ def test_infinitary_sum_partiality():
     assert Z4.infinitary_sum(PwcSeq.constant((0,), OMEGA)) == (0,)
     with pytest.raises(DivergentSumError):
         Z4.infinitary_sum(PwcSeq.constant((2,), OMEGA))
+
+
+def outcome(f, *args):
+    """f(*args), or the class and message of the DivergentSumError it
+    raises."""
+    try:
+        return f(*args)
+    except DivergentSumError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_pwc_over())
+def test_piecewise_sum_matches_point_by_point(drawn):
+    module, fam = drawn
+    assert (outcome(module.infinitary_sum, fam)
+            == outcome(point_by_point_sum, module, fam))
+
+
+@pytest.mark.parametrize("length", [10, 10 ** 3, 10 ** 6])
+def test_infinitary_sum_makes_two_operations_per_piece(module_ops, length):
+    # a scal and an add per nonzero piece, however many points it has
+    k = 4
+    fam = lengthy_pieces(k, length)
+    got = Z4.infinitary_sum(fam)
+    assert module_ops[0] <= 2 * k
+    assert got == ((length * (1 + 2 + 3)) % 4,)
+    with pytest.raises(DivergentSumError):
+        Z4.infinitary_sum(lengthy_pieces(k, length, zero=(2,)))
 
 
 # -- Submodule --------------------------------------------------------------------

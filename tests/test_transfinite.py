@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 import translim.transfinite as transfinite
-from conftest import ordinals, pwc_over, terms_over
+from conftest import (lengthy_pieces, ordinals, point_by_point_sum,
+                      pwc_over, random_pwc_over, terms_over)
 
 from translim import (
     OMEGA,
@@ -257,6 +258,43 @@ def test_sum_peeling_follows_pieces_not_coefficients(monkeypatch, alpha_text,
     got = sum_eval_from_lim(module, fam)
     assert len(prefixes) <= 1 and lookups == []
     assert got == ((n * v[0]) % module.shape[0],)
+
+
+def _summed_lim_eval(module, fam):
+    """The one-pass evaluator on a finite instance as it was before it
+    returned its running value: it rebuilt the difference family with
+    from_support and summed it again, point by point."""
+    if fam.length.is_zero:
+        return module.zero()
+    zero = module.zero()
+    support = []
+    running = zero
+    for lo, hi, v in fam.pieces():
+        d = module.sub(v, running)
+        if d != zero:
+            support.append((lo, d))
+            running = module.add(running, d)
+        if lo + ONE < hi and running != v:
+            raise TranslimError("nonzero difference past a piece start")
+    return point_by_point_sum(
+        module, PwcSeq.from_support(support, fam.length, zero))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_pwc_over())
+def test_running_value_matches_the_summed_differences(drawn):
+    module, fam = drawn
+    assert lim_eval(module, fam) == _summed_lim_eval(module, fam)
+
+
+@pytest.mark.parametrize("length", [10, 10 ** 3, 10 ** 6])
+def test_lim_eval_makes_three_operations_per_piece(module_ops, length):
+    # a subtraction (add and neg) per piece and an add per nonzero
+    # difference; the differences are not summed a second time
+    k = 8
+    fam = lengthy_pieces(k, length)
+    assert lim_eval(Z4, fam) == (0,)
+    assert module_ops[0] <= 3 * k
 
 
 class _ForgetfulSub(FiniteMod):
