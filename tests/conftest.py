@@ -90,16 +90,16 @@ def point_by_point_sum(module, seq):
     return total
 
 
-def lengthy_pieces(k, length, zero=(0,)):
+def lengthy_pieces(k, length, tail=(0,)):
     """k pieces: k-1 of `length` points with the values 1, 2, 3, 1, ...,
-    so that neighbours differ, then `zero` up to w."""
+    so that neighbours differ, then `tail` up to w."""
     n = from_int(length)
     pieces = []
     lo = ZERO
     for i in range(k - 1):
         pieces.append((lo, lo + n, (i % 3 + 1,)))
         lo = lo + n
-    pieces.append((lo, OMEGA, zero))
+    pieces.append((lo, OMEGA, tail))
     return PwcSeq.from_pieces(pieces)
 
 

@@ -262,7 +262,7 @@ def test_infinitary_sum_makes_two_operations_per_piece(module_ops, length):
     assert module_ops[0] <= 2 * k
     assert got == ((length * (1 + 2 + 3)) % 4,)
     with pytest.raises(DivergentSumError):
-        Z4.infinitary_sum(lengthy_pieces(k, length, zero=(2,)))
+        Z4.infinitary_sum(lengthy_pieces(k, length, tail=(2,)))
 
 
 # -- Submodule --------------------------------------------------------------------
