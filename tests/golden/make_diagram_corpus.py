@@ -10,7 +10,10 @@ nested exponents (`ordinal add/sub/cmp` on every ordered pair of ORDINALS,
 The parser rows run `term parse` on the `limterm build`/`sumterm build`
 spelling of each of ORDINALS, and `term eval`, `limterm eval` and
 `sumterm eval` on FAMILIES, whose bounds nest exponents and carry blanks,
-text and --json.
+text and --json.  `sumterm restrict` sums each of FAMILIES inside its own
+length, a longer index and the overhung index 1, and `check refute` runs
+on --mod 1..4 x REFUTE_ALPHAS with and without a candidate term, text and
+--json.
 
 Each entry is an argv list plus the sha256 of the JSON text of
 [exit code, stdout, stderr] that `translim.cli.main(argv)` produces.  An
@@ -69,6 +72,9 @@ FAMILIES = [
      "[w^(w+1)*2+2,w^(w+1)*3)->0",
      "(lim w^(w+1)*3 [0,w^(w+1)*3)->idx)"),
 ]
+# a finitary limit term exists at successor indices, and at limit indices
+# only over the zero ring (--mod 1)
+REFUTE_ALPHAS = ["1", "3", "w", "w+1", "w*2", "w^w"]
 
 
 def built(head, alpha):
@@ -123,6 +129,16 @@ def argv_lists():
                      ["sumterm", "eval", "--alpha", alpha]):
             argv += ["--module", "Z/4", "--seq", seq]
             runs += [argv, argv + ["--json"]]
+        for ambient in (alpha, f"{alpha}+w", "1"):
+            argv = ["sumterm", "restrict", "--alpha", ambient,
+                    "--module", "Z/4", "--seq", seq]
+            runs += [argv, argv + ["--json"]]
+    for mod in range(1, 5):
+        for alpha in REFUTE_ALPHAS:
+            for term in ([], ["--term", "(+ x0 (scal 2 x0))"]):
+                argv = ["check", "refute", "--mod", str(mod),
+                        "--alpha", alpha, *term]
+                runs += [argv, argv + ["--json"]]
     return runs
 
 

@@ -9,10 +9,12 @@ and review the diff before committing.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import pathlib
+import sys
 import time
 
 import pytest
@@ -575,6 +577,36 @@ def test_one_parser_answers_like_a_fresh_one(capsys, monkeypatch):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 2]
     assert shared[1] != shared[2]
+
+
+COMMAND_PATHS = [
+    (), ("ordinal",), ("term",), ("term", "parse"), ("term", "eval"),
+    ("limterm",), ("limterm", "build"), ("limterm", "eval"), ("sumterm",),
+    ("sumterm", "build"), ("sumterm", "eval"), ("sumterm", "restrict"),
+    ("check",), ("check", "limterm"), ("check", "ab5"), ("check", "refute"),
+    ("diagram",), ("diagram", "check"), ("diagram", "limit"),
+    ("diagram", "sample"), ("suite",), ("suite", "run")]
+
+
+def test_parser_text_is_pinned(capsys, monkeypatch):
+    # help, the usage error of a bare path and of an unknown flag, for every
+    # command path; argparse formats for the width in COLUMNS, and its
+    # wording varies between Python versions
+    recorded = json.loads((GOLDEN / "parser_text.json").read_text("utf-8"))
+    if recorded["python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip(f"parser text recorded under Python {recorded['python']}")
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {}
+    for path in COMMAND_PATHS:
+        for case, extra in (("--help", ["--help"]), ("bare", []),
+                            ("--bogus", ["--bogus"])):
+            result = run_cli(capsys, *path, *extra)
+            digests[" ".join(["translim", *path, case])] = hashlib.sha256(
+                json.dumps(result).encode()).hexdigest()
+    assert len(digests) == 66
+    check_golden("parser_text.json", json.dumps(
+        {"python": recorded["python"], "sha256": digests}, indent=1,
+        sort_keys=True) + "\n")
 
 
 def test_unknown_command_exits_two(capsys):
