@@ -10,8 +10,8 @@ from .errors import (DivergentSumError, HomomorphismValidationError,
                      InvalidAlphaError, LengthMismatchError,
                      LevelwiseNotEpiError, ModuleValidationError,
                      OrdinalUnderflowError, ParseError, PositiveVerdictError,
-                     TheoryMismatchError, TranslimError, UnboundVariableError,
-                     UnknownSuiteError)
+                     ResourceLimitError, TheoryMismatchError, TranslimError,
+                     UnboundVariableError, UnknownSuiteError)
 from .ordinal import (OMEGA, ONE, ZERO, Ordinal, format_ordinal, from_int,
                       left_subtract, omega_power, parse_ordinal,
                       sample_points_below)

@@ -2,9 +2,12 @@
 
 One binary with subcommands: an ordinal calculator, a term evaluator,
 limit/summation term runners, named checks, diagram file tooling, and the
-suite runner.  Output is plain text unless --json is given; identical argv
-plus seed produce identical bytes.  Exit codes: 0 success, 1 check failure,
-2 usage or parse error (input nested past the recursion limit included).
+suite runner.  Each leaf command is one row of COMMANDS, which builds the
+parser, names the handler and lists the library errors that are usage
+errors for that command.  Output is plain text unless --json is given;
+identical argv plus seed produce identical bytes.  Exit codes: 0 success,
+1 check failure, 2 usage or parse error (input nested past the recursion
+limit, a ResourceLimitError and the row's usage errors included).
 
 Seed echoing: subcommands that consume randomness (check, suite, diagram
 sample) always state their seed.  The pure calculator subcommands take no
@@ -18,10 +21,12 @@ import functools
 import json
 import random
 import sys
+from typing import Callable, NamedTuple
 
 from . import ab5check, diagrams, sampling, suites, transfinite
-from .errors import (InvalidAlphaError, OrdinalUnderflowError, ParseError,
-                     TheoryMismatchError, TranslimError)
+from .errors import (InfiniteCarrierError, InvalidAlphaError,
+                     OrdinalUnderflowError, ParseError, ResourceLimitError,
+                     TheoryMismatchError, TranslimError, UnboundVariableError)
 from .instances import FiniteMod, parse_instance, standard_battery
 from .ordinal import (OMEGA, compare, format_ordinal, left_subtract,
                       parse_ordinal, sample_points_below)
@@ -31,121 +36,94 @@ from .terms import AdditiveTheory, evaluate, format_term, parse_term, sum_term
 
 
 def _emit(args, lines, payload) -> None:
-    if getattr(args, "json", False):
+    if args.json:
+        payload = {"command": " ".join(args.row.path), **payload}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))
 
 
-def _family(text: str, module, expect=None):
-    fam = parse_pwc(text, module.parse_element)
-    if expect is not None and fam.length != expect:
-        raise ParseError(
-            f"--seq covers {format_ordinal(fam.length)} but --alpha is "
-            f"{format_ordinal(expect)}")
-    return fam
-
-
 # -- ordinal ---------------------------------------------------------------------
+
+# op -> (operand count, result text from the parsed operands)
+_ORDINAL_OPS = {
+    "add": (2, lambda a, b: format_ordinal(a + b)),
+    "sub": (2, lambda a, b: format_ordinal(left_subtract(b, a))),
+    "cmp": (2, lambda a, b: {-1: "lt", 0: "eq", 1: "gt"}[compare(a, b)]),
+    "fmt": (1, format_ordinal),
+    "points": (1, lambda a: ", ".join(format_ordinal(p)
+                                      for p in sample_points_below(a))),
+}
 
 
 def _cmd_ordinal(args) -> int:
-    need = {"add": 2, "sub": 2, "cmp": 2, "fmt": 1, "points": 1}[args.op]
+    need, op = _ORDINAL_OPS[args.op]
     if len(args.operands) != need:
         raise ParseError(f"ordinal {args.op} takes {need} operand(s), "
                          f"got {len(args.operands)}")
-    ords = [parse_ordinal(t) for t in args.operands]
-    if args.op == "add":
-        result = format_ordinal(ords[0] + ords[1])
-    elif args.op == "sub":
-        try:
-            result = format_ordinal(left_subtract(ords[1], ords[0]))
-        except OrdinalUnderflowError as exc:
-            # the calculator checks nothing: a bad operand is a usage error
-            raise ParseError(f"{exc.__class__.__name__}: {exc}") from None
-    elif args.op == "cmp":
-        result = {-1: "lt", 0: "eq", 1: "gt"}[compare(ords[0], ords[1])]
-    elif args.op == "fmt":
-        result = format_ordinal(ords[0])
-    else:
-        result = ", ".join(format_ordinal(p)
-                           for p in sample_points_below(ords[0]))
-    _emit(args, [result], {"command": "ordinal", "op": args.op,
-                           "operands": args.operands, "result": result})
+    result = op(*[parse_ordinal(t) for t in args.operands])
+    _emit(args, [result], {"op": args.op, "operands": args.operands,
+                           "result": result})
     return 0
 
 
-# -- term ------------------------------------------------------------------------
+# -- term / limterm / sumterm ----------------------------------------------------
 
 
-def _term(text: str, theory, variable_limit=None):
-    try:
-        return parse_term(text, theory, variable_limit)
-    except TheoryMismatchError as exc:
-        # a term naming what its theory lacks is an input error
-        raise ParseError(f"{exc.__class__.__name__}: {exc}") from None
+def _cmd_term_parse(args) -> int:
+    theory = parse_theory(args.theory) if args.theory else None
+    text = format_term(parse_term(args.expr, theory))
+    _emit(args, [text], {"term": text, "theory": args.theory})
+    return 0
 
 
-def _cmd_term(args) -> int:
-    if args.verb == "parse":
-        theory = parse_theory(args.theory) if args.theory else None
-        term = _term(args.expr, theory)
-        text = format_term(term)
-        _emit(args, [text], {"command": "term parse", "term": text,
-                             "theory": args.theory})
-        return 0
+def _cmd_term_eval(args) -> int:
     module = parse_instance(args.module)
-    term = _term(args.expr, module.theory)
-    fam = _family(args.seq, module)
+    term = parse_term(args.expr, module.theory)
+    fam = parse_pwc(args.seq, module.parse_element)
     value = module.format_element(evaluate(term, module, fam))
-    _emit(args, [value], {"command": "term eval", "term": format_term(term),
+    _emit(args, [value], {"term": format_term(term),
                           "module": module.literal, "value": value})
     return 0
 
 
-# -- limterm / sumterm -----------------------------------------------------------
-
-
-def _cmd_limterm(args) -> int:
-    alpha = parse_ordinal(args.alpha)
-    if args.verb == "build":
-        try:
-            text = format_term(transfinite.build_lim_term(alpha))
-        except InvalidAlphaError as exc:
-            raise ParseError(f"{exc.__class__.__name__}: {exc}") from None
-        _emit(args, [text], {"command": "limterm build", "term": text,
-                             "alpha": args.alpha})
-        return 0
-    module = parse_instance(args.module)
-    fam = _family(args.seq, module, expect=alpha)
-    value = module.format_element(transfinite.lim_eval(module, fam))
-    _emit(args, [value], {"command": "limterm eval", "alpha": args.alpha,
-                          "module": module.literal, "value": value})
+def _cmd_limterm_build(args) -> int:
+    text = format_term(transfinite.build_lim_term(parse_ordinal(args.alpha)))
+    _emit(args, [text], {"term": text, "alpha": args.alpha})
     return 0
 
 
-def _cmd_sumterm(args) -> int:
+def _cmd_sumterm_build(args) -> int:
+    text = format_term(sum_term(parse_ordinal(args.alpha)))
+    _emit(args, [text], {"term": text, "alpha": args.alpha})
+    return 0
+
+
+def _eval_family(args, evaluator) -> int:
     alpha = parse_ordinal(args.alpha)
-    if args.verb == "build":
-        text = format_term(sum_term(alpha))
-        _emit(args, [text], {"command": "sumterm build", "term": text,
-                             "alpha": args.alpha})
-        return 0
     module = parse_instance(args.module)
-    if args.verb == "eval":
-        fam = _family(args.seq, module, expect=alpha)
-        value = module.format_element(transfinite.sum_eval_from_lim(module, fam))
-        _emit(args, [value], {"command": "sumterm eval", "alpha": args.alpha,
-                              "module": module.literal, "value": value})
-        return 0
-    # restrict: sum a shorter family inside a longer index
-    fam = _family(args.seq, module)
+    fam = parse_pwc(args.seq, module.parse_element)
+    if fam.length != alpha:
+        raise ParseError(
+            f"--seq covers {format_ordinal(fam.length)} but --alpha is "
+            f"{format_ordinal(alpha)}")
+    value = module.format_element(evaluator(module, fam))
+    _emit(args, [value], {"alpha": args.alpha, "module": module.literal,
+                          "value": value})
+    return 0
+
+
+def _cmd_sumterm_restrict(args) -> int:
+    # sum a shorter family inside a longer index
+    alpha = parse_ordinal(args.alpha)
+    module = parse_instance(args.module)
+    fam = parse_pwc(args.seq, module.parse_element)
     if not fam.length <= alpha:
         raise ParseError(
             f"--seq covers {format_ordinal(fam.length)}, beyond --alpha "
             f"{format_ordinal(alpha)}")
     value = module.format_element(transfinite.restrict_sum(module, fam, alpha))
-    _emit(args, [value], {"command": "sumterm restrict", "alpha": args.alpha,
+    _emit(args, [value], {"alpha": args.alpha,
                           "beta": format_ordinal(fam.length),
                           "module": module.literal, "value": value})
     return 0
@@ -189,9 +167,8 @@ def _cmd_check_limterm(args) -> int:
     ok_n = sum(1 for r in reports if r.passed)
     lines.append(f"check limterm: {'PASS' if passed else 'FAIL'} "
                  f"({ok_n}/{len(reports)} instances)")
-    _emit(args, lines, {"command": "check limterm", "seed": args.seed,
-                        "alpha": args.alpha, "term": format_term(term),
-                        "reports": [r.to_json() for r in reports],
+    _emit(args, lines, {"seed": args.seed, "alpha": args.alpha,
+                        "term": format_term(term), "reports": [r.to_json() for r in reports],
                         "passed": passed})
     return 0 if passed else 1
 
@@ -224,8 +201,7 @@ def _cmd_check_ab5(args) -> int:
              f"  diagonal:       {word(row.cond_diagonal)}",
              f"equivalence: {'PASS' if row.agree else 'FAIL'} "
              f"(conditions {'agree' if row.agree else 'disagree'})"]
-    _emit(args, lines, {"command": "check ab5", "seed": args.seed,
-                        "theory": theory.literal,
+    _emit(args, lines, {"seed": args.seed, "theory": theory.literal,
                         "index": format_ordinal(index),
                         "conditions": {"limits": row.cond_limits,
                                        "reach": row.cond_reach,
@@ -244,9 +220,8 @@ def _cmd_check_refute(args) -> int:
     verdict = transfinite.refute_limit_term_finitary(args.mod, alpha)
     lines = [f"seed: {args.seed}", f"theory: {theory.literal}",
              f"alpha: {format_ordinal(alpha)}"]
-    payload = {"command": "check refute", "seed": args.seed,
-               "theory": theory.literal, "alpha": format_ordinal(alpha),
-               "verdict": verdict.to_json()}
+    payload = {"seed": args.seed, "theory": theory.literal,
+               "alpha": format_ordinal(alpha), "verdict": verdict.to_json()}
     ok = True
     if verdict.exists:
         lines.append("verdict: a limit term exists")
@@ -261,7 +236,7 @@ def _cmd_check_refute(args) -> int:
     else:
         lines.append("verdict: no limit term exists")
         if args.term:
-            term = _term(args.term, theory, alpha)
+            term = parse_term(args.term, theory, alpha)
             witness = verdict.challenge(term)
             ok, details = transfinite.validate_refutation(witness, term)
             lines.append(f"challenged: {format_term(term)}")
@@ -289,49 +264,48 @@ def _load_system(path: str):
     return diagrams.system_from_json(data)
 
 
-def _cmd_diagram(args) -> int:
-    if args.verb == "sample":
-        if args.mod < 1:
-            raise ParseError("the modulus must be at least 1")
-        rng = random.Random(args.seed)
-        system = sampling.random_system(rng, args.mod)
-        print(f"seed: {args.seed}", file=sys.stderr)
-        print(json.dumps(diagrams.system_to_json(system), indent=2,
-                         sort_keys=True))
-        return 0
+def _cmd_diagram_sample(args) -> int:
+    if args.mod < 1:
+        raise ParseError("the modulus must be at least 1")
+    rng = random.Random(args.seed)
+    system = sampling.random_system(rng, args.mod)
+    print(f"seed: {args.seed}", file=sys.stderr)
+    print(json.dumps(diagrams.system_to_json(system), indent=2,
+                     sort_keys=True))
+    return 0
+
+
+def _cmd_diagram_check(args) -> int:
     system = _load_system(args.file)
     lobj = diagrams.limit_object(system)
-    levels = " <- ".join(lv.literal for lv in system.prefix)
-    if args.verb == "check":
-        lines = [f"index: {format_ordinal(system.index)}",
-                 f"theory: {system.theory.literal}",
-                 f"levels: {levels}",
-                 f"tail: {system.tail or '-'}",
-                 f"limit: {len(lobj.elements())} threads, "
-                 f"depth {lobj.depth}",
-                 f"colimit: {diagrams.colimit_object(system).literal}",
-                 "diagram check: PASS"]
-        _emit(args, lines, {"command": "diagram check",
-                            "index": format_ordinal(system.index),
-                            "theory": system.theory.literal,
-                            "levels": [lv.literal for lv in system.prefix],
-                            "tail": system.tail,
-                            "limit_size": len(lobj.elements()),
-                            "limit_depth": lobj.depth,
-                            "colimit": diagrams.colimit_object(system).literal,
-                            "ok": True})
-        return 0
-    # limit: list the threads over the prefix levels
-    height = system.height
-    threads = []
-    for x in sorted(lobj.elements()):
-        coords = [system.level(j).format_element(lobj.coordinate(x, j))
-                  for j in range(height + 1)]
-        threads.append(coords)
+    levels = [lv.literal for lv in system.prefix]
+    size = len(lobj.elements())
+    colimit = diagrams.colimit_object(system).literal
+    lines = [f"index: {format_ordinal(system.index)}",
+             f"theory: {system.theory.literal}",
+             f"levels: {' <- '.join(levels)}",
+             f"tail: {system.tail or '-'}",
+             f"limit: {size} threads, depth {lobj.depth}",
+             f"colimit: {colimit}",
+             "diagram check: PASS"]
+    _emit(args, lines, {"index": format_ordinal(system.index),
+                        "theory": system.theory.literal, "levels": levels,
+                        "tail": system.tail, "limit_size": size,
+                        "limit_depth": lobj.depth, "colimit": colimit,
+                        "ok": True})
+    return 0
+
+
+def _cmd_diagram_limit(args) -> int:
+    # list the threads over the prefix levels
+    system = _load_system(args.file)
+    lobj = diagrams.limit_object(system)
+    threads = [[system.level(j).format_element(lobj.coordinate(x, j))
+                for j in range(system.height + 1)]
+               for x in sorted(lobj.elements())]
     lines = [f"limit: {len(threads)} threads, depth {lobj.depth}"]
     lines += ["  " + " <- ".join(coords) for coords in threads]
-    _emit(args, lines, {"command": "diagram limit",
-                        "depth": lobj.depth, "threads": threads})
+    _emit(args, lines, {"depth": lobj.depth, "threads": threads})
     return 0
 
 
@@ -346,123 +320,122 @@ def _cmd_suite(args) -> int:
         lines.append(r.render_text())
         lines.append("")
     lines.append(f"suite run: {'PASS' if ok else 'FAIL'}")
-    _emit(args, lines, {"command": "suite run", "seed": args.seed,
+    _emit(args, lines, {"seed": args.seed,
                         "suites": [r.to_json() for r in reports], "ok": ok})
     return 0 if ok else 1
 
 
-# -- parser ----------------------------------------------------------------------
+# -- command table ---------------------------------------------------------------
 
 
-def _add_json(p) -> None:
-    p.add_argument("--json", action="store_true",
-                   help="emit a JSON report instead of text")
+class Command(NamedTuple):
+    """One leaf command: its argv path, its handler, its arguments as
+    (flags, add_argument keywords) pairs, its help text, and the library
+    errors that mean bad input to it (exit 2) rather than a failed check
+    (exit 1)."""
+
+    path: tuple
+    handler: Callable
+    args: tuple
+    help: str | None = None
+    usage_errors: tuple = ()
+
+
+def _arg(*flags, **spec):
+    return flags, spec
+
+
+_JSON = _arg("--json", action="store_true",
+             help="emit a JSON report instead of text")
+_SEED = _arg("--seed", type=int, default=0)
+_ALPHA = _arg("--alpha", required=True)
+_FAMILY = (_ALPHA, _arg("--module", required=True),
+           _arg("--seq", required=True))
+
+# command group -> (its help, the name argparse gives its missing verb)
+_GROUPS = {"term": ("parse or evaluate a term", "verb"),
+           "limterm": ("canonical limit term", "verb"),
+           "sumterm": ("canonical summation term", "verb"),
+           "check": ("named verification runs", "target"),
+           "diagram": ("inverse-system files", "verb"),
+           "suite": ("run the named check suites", "verb")}
+
+COMMANDS = (
+    Command(("ordinal",), _cmd_ordinal,
+            (_arg("op", choices=tuple(_ORDINAL_OPS)),
+             _arg("operands", nargs="+", metavar="ORD"), _JSON),
+            help="ordinal calculator", usage_errors=(OrdinalUnderflowError,)),
+    Command(("term", "parse"), _cmd_term_parse,
+            (_arg("expr"), _arg("--theory", help='e.g. "add-inf mod 2"'),
+             _JSON),
+            usage_errors=(TheoryMismatchError,)),
+    Command(("term", "eval"), _cmd_term_eval,
+            (_arg("expr"),
+             _arg("--module", required=True, help='e.g. Z/4 or "Z/2 x Z/4"'),
+             _arg("--seq", required=True, help='assignment, e.g. "[0,w)->1"'),
+             _JSON),
+            usage_errors=(TheoryMismatchError, UnboundVariableError)),
+    Command(("limterm", "build"), _cmd_limterm_build, (_ALPHA, _JSON),
+            usage_errors=(InvalidAlphaError,)),
+    Command(("limterm", "eval"),
+            lambda args: _eval_family(args, transfinite.lim_eval),
+            (*_FAMILY, _JSON),
+            usage_errors=(TheoryMismatchError,)),
+    Command(("sumterm", "build"), _cmd_sumterm_build, (_ALPHA, _JSON)),
+    Command(("sumterm", "eval"),
+            lambda args: _eval_family(args, transfinite.sum_eval_from_lim),
+            (*_FAMILY, _JSON),
+            usage_errors=(TheoryMismatchError,)),
+    Command(("sumterm", "restrict"), _cmd_sumterm_restrict, (*_FAMILY, _JSON),
+            usage_errors=(TheoryMismatchError,)),
+    Command(("check", "limterm"), _cmd_check_limterm,
+            (_ALPHA, _arg("--module", help="restrict to one instance literal"),
+             _arg("--trials", type=int, default=200), _SEED, _JSON),
+            help="limit-term laws over the battery",
+            usage_errors=(InfiniteCarrierError, TheoryMismatchError)),
+    Command(("check", "ab5"), _cmd_check_ab5,
+            (_arg("--ring", type=int, help="modulus of the scalar ring"),
+             _arg("--mod", type=int, help="synonym for --ring"),
+             _arg("--theory", choices=("inf-add", "fin-add"),
+                  default="inf-add"),
+             _arg("--set", default="w", help="index ordinal (default w)"),
+             _arg("--trials", type=int, default=100), _SEED, _JSON),
+            help="three-condition equivalence at one point"),
+    Command(("check", "refute"), _cmd_check_refute,
+            (_arg("--mod", type=int, required=True),
+             _arg("--alpha", default="w"),
+             _arg("--term", help="candidate term to defeat"), _SEED, _JSON),
+            help="finitary limit-term decision",
+            usage_errors=(TheoryMismatchError, UnboundVariableError)),
+    Command(("diagram", "check"), _cmd_diagram_check, (_arg("file"), _JSON)),
+    Command(("diagram", "limit"), _cmd_diagram_limit, (_arg("file"), _JSON)),
+    Command(("diagram", "sample"), _cmd_diagram_sample,
+            (_arg("--mod", type=int, required=True), _SEED)),
+    Command(("suite", "run"), _cmd_suite,
+            (_arg("name", choices=("all", "transfinite", "diagrams", "ab5")),
+             _SEED, _JSON)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="translim",
         description="ordinal-indexed terms, limits, and summation checks")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ordinal", help="ordinal calculator")
-    p.add_argument("op", choices=("add", "sub", "cmp", "fmt", "points"))
-    p.add_argument("operands", nargs="+", metavar="ORD")
-    _add_json(p)
-    p.set_defaults(fn=_cmd_ordinal)
-
-    p = sub.add_parser("term", help="parse or evaluate a term")
-    tv = p.add_subparsers(dest="verb", required=True)
-    q = tv.add_parser("parse")
-    q.add_argument("expr")
-    q.add_argument("--theory", help='e.g. "add-inf mod 2"')
-    _add_json(q)
-    q.set_defaults(fn=_cmd_term)
-    q = tv.add_parser("eval")
-    q.add_argument("expr")
-    q.add_argument("--module", required=True, help='e.g. Z/4 or "Z/2 x Z/4"')
-    q.add_argument("--seq", required=True,
-                   help='assignment, e.g. "[0,w)->1"')
-    _add_json(q)
-    q.set_defaults(fn=_cmd_term)
-
-    p = sub.add_parser("limterm", help="canonical limit term")
-    tv = p.add_subparsers(dest="verb", required=True)
-    q = tv.add_parser("build")
-    q.add_argument("--alpha", required=True)
-    _add_json(q)
-    q.set_defaults(fn=_cmd_limterm)
-    q = tv.add_parser("eval")
-    q.add_argument("--alpha", required=True)
-    q.add_argument("--module", required=True)
-    q.add_argument("--seq", required=True)
-    _add_json(q)
-    q.set_defaults(fn=_cmd_limterm)
-
-    p = sub.add_parser("sumterm", help="canonical summation term")
-    tv = p.add_subparsers(dest="verb", required=True)
-    q = tv.add_parser("build")
-    q.add_argument("--alpha", required=True)
-    _add_json(q)
-    q.set_defaults(fn=_cmd_sumterm)
-    for verb in ("eval", "restrict"):
-        q = tv.add_parser(verb)
-        q.add_argument("--alpha", required=True)
-        q.add_argument("--module", required=True)
-        q.add_argument("--seq", required=True)
-        _add_json(q)
-        q.set_defaults(fn=_cmd_sumterm)
-
-    p = sub.add_parser("check", help="named verification runs")
-    tv = p.add_subparsers(dest="target", required=True)
-    q = tv.add_parser("limterm", help="limit-term laws over the battery")
-    q.add_argument("--alpha", required=True)
-    q.add_argument("--module", help="restrict to one instance literal")
-    q.add_argument("--trials", type=int, default=200)
-    q.add_argument("--seed", type=int, default=0)
-    _add_json(q)
-    q.set_defaults(fn=_cmd_check_limterm)
-    q = tv.add_parser("ab5", help="three-condition equivalence at one point")
-    q.add_argument("--ring", type=int, help="modulus of the scalar ring")
-    q.add_argument("--mod", type=int, help="synonym for --ring")
-    q.add_argument("--theory", choices=("inf-add", "fin-add"),
-                   default="inf-add")
-    q.add_argument("--set", default="w", help="index ordinal (default w)")
-    q.add_argument("--trials", type=int, default=100)
-    q.add_argument("--seed", type=int, default=0)
-    _add_json(q)
-    q.set_defaults(fn=_cmd_check_ab5)
-    q = tv.add_parser("refute", help="finitary limit-term decision")
-    q.add_argument("--mod", type=int, required=True)
-    q.add_argument("--alpha", default="w")
-    q.add_argument("--term", help="candidate term to defeat")
-    q.add_argument("--seed", type=int, default=0)
-    _add_json(q)
-    q.set_defaults(fn=_cmd_check_refute)
-
-    p = sub.add_parser("diagram", help="inverse-system files")
-    tv = p.add_subparsers(dest="verb", required=True)
-    q = tv.add_parser("check")
-    q.add_argument("file")
-    _add_json(q)
-    q.set_defaults(fn=_cmd_diagram)
-    q = tv.add_parser("limit")
-    q.add_argument("file")
-    _add_json(q)
-    q.set_defaults(fn=_cmd_diagram)
-    q = tv.add_parser("sample")
-    q.add_argument("--mod", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(fn=_cmd_diagram)
-
-    p = sub.add_parser("suite", help="run the named check suites")
-    tv = p.add_subparsers(dest="verb", required=True)
-    q = tv.add_parser("run")
-    q.add_argument("name", choices=("all", "transfinite", "diagrams", "ab5"))
-    q.add_argument("--seed", type=int, default=0)
-    _add_json(q)
-    q.set_defaults(fn=_cmd_suite)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    verbs = {(): top}  # command group -> the subparsers of its verbs
+    for row in COMMANDS:
+        group = row.path[:-1]
+        if group not in verbs:
+            help_text, dest = _GROUPS[group[0]]
+            verbs[group] = top.add_parser(
+                group[0], help=help_text).add_subparsers(dest=dest,
+                                                         required=True)
+        # argparse lists a command in its group's help only if given help
+        spec = {"help": row.help} if row.help else {}
+        p = verbs[group].add_parser(row.path[-1], **spec)
+        for flags, spec in row.args:
+            p.add_argument(*flags, **spec)
+        p.set_defaults(row=row)
     return parser
 
 
@@ -483,13 +456,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        return args.row.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print(f"error: input nests deeper than the recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
+    except (ResourceLimitError, *args.row.usage_errors) as exc:
+        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
     except TranslimError as exc:
         print(f"check failed: {exc.__class__.__name__}: {exc}",

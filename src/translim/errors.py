@@ -55,6 +55,11 @@ class InvalidAlphaError(TranslimError):
     """Ordinal parameter outside the range the construction is defined for."""
 
 
+class ResourceLimitError(TranslimError):
+    """An input whose answer the library cannot build or print within an
+    interpreter limit; the message names the limit."""
+
+
 class LevelwiseNotEpiError(TranslimError):
     """A system morphism expected to be levelwise surjective is not."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import sys
 
-from .errors import OrdinalUnderflowError, ParseError
+from .errors import OrdinalUnderflowError, ParseError, ResourceLimitError
 
 
 class Ordinal(tuple):
@@ -311,18 +311,23 @@ def format_ordinal(a: Ordinal) -> str:
     if not a:
         return "0"
     parts = []
-    for e, c in a:
-        if not e:
-            parts.append(str(c))
-            continue
-        if e == ONE:
-            s = "w"
-        else:
-            inner = format_ordinal(e)
-            s = f"w^({inner})" if _exp_needs_parens(e) else f"w^{inner}"
-        if c != 1:
-            s += f"*{c}"
-        parts.append(s)
+    try:
+        for e, c in a:
+            if not e:
+                parts.append(str(c))
+                continue
+            if e == ONE:
+                s = "w"
+            else:
+                inner = format_ordinal(e)
+                s = f"w^({inner})" if _exp_needs_parens(e) else f"w^{inner}"
+            if c != 1:
+                s += f"*{c}"
+            parts.append(s)
+    except ValueError:  # str(c) past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(
+            f"a coefficient has more than {limit} digits") from None
     return "+".join(parts)
 
 

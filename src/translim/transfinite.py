@@ -32,6 +32,7 @@ number of pieces, not the size of the finite coefficients.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 from . import sampling
@@ -40,6 +41,7 @@ from .errors import (
     InvalidAlphaError,
     LengthMismatchError,
     PositiveVerdictError,
+    ResourceLimitError,
     TranslimError,
 )
 from .instances import FiniteMod
@@ -133,6 +135,7 @@ def sum_eval_from_lim(module, fam: PwcSeq):
     the nonzero part of fam is finite (DivergentSumError otherwise).
     """
     tail = None
+    nested = 0  # copies of a value in tail
     b = fam.length
     pieces = fam.pieces()
     while b.is_successor:
@@ -142,7 +145,8 @@ def sum_eval_from_lim(module, fam: PwcSeq):
             n, b = rest.to_int(), lo
         else:
             b, n = split_finite(b)
-        tail = _add_copies(module, n, v, tail)
+        tail = _add_copies(module, n, v, tail, nested)
+        nested += n
     if b.is_zero:
         core = module.zero()
     else:
@@ -154,16 +158,23 @@ def sum_eval_from_lim(module, fam: PwcSeq):
     return module.add(core, tail)
 
 
-def _add_copies(module, n, v, tail):
-    """n copies of v added in front of tail (None: nothing peeled yet).
+def _add_copies(module, n, v, tail, nested):
+    """n copies of v added in front of tail (None: nothing peeled yet),
+    which holds `nested` copies.
 
     On finite instances the n copies are module.scal(n, v).  A free module
     does not reduce terms, so there the copies stay the nested sum
-    v + (v + (... + tail)) that peeling point by point spells.
+    v + (v + (... + tail)) that peeling point by point spells; a nesting
+    deeper than the recursion limit is refused before it is built, since
+    no term that deep can be formatted or compared.
     """
     if module.is_finite:
         part = module.scal(n, v)
         return part if tail is None else module.add(part, tail)
+    if nested + n > sys.getrecursionlimit():
+        raise ResourceLimitError(
+            f"a sum of {nested + n} points over a free module nests deeper "
+            f"than the recursion limit ({sys.getrecursionlimit()})")
     for _ in range(n):
         tail = v if tail is None else module.add(v, tail)
     return tail

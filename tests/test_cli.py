@@ -8,6 +8,7 @@ intentional output change:
 and review the diff before committing.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -21,8 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import ordinals
-from translim import (OMEGA, cli, diagrams, format_ordinal, parse_instance,
-                      parse_ordinal)
+from translim import (OMEGA, TranslimError, cli, diagrams, errors,
+                      format_ordinal, parse_instance, parse_ordinal)
 from translim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -419,6 +420,9 @@ BAD_THEORY = "bad-theory:"  # ... with that JSON text as its theory
 BAD_INDEX = "bad-index:"  # ... with that index string
 NESTED = "nested:"  # argv placeholder for a file of that many '['
 DEEP = "recursion limit"
+# the longest number the interpreter converts from text: the sum of two
+# of them has one digit more
+BIG = "9" * sys.get_int_max_str_digits()
 
 
 def _diagram_with_level(tmp_path, level, theory="add-inf mod 2",
@@ -500,6 +504,24 @@ def _argv_file(tmp_path, arg) -> str:
      "TheoryMismatchError: unknown operation 'f'"),
     (("check", "refute", "--mod", "2", "--term", "(f x0)"),
      "TheoryMismatchError: unknown operation 'f'"),
+    # a candidate or an assignment that leaves a variable unbound
+    (("check", "refute", "--mod", "2", "--alpha", "w", "--term", "xw"),
+     "UnboundVariableError: variable xw outside declared set of size w"),
+    (("term", "eval", "(+ x0 x5)", "--module", "Z/2", "--seq", "[0,3)->1"),
+     "UnboundVariableError: variable x5 not covered by the assignment"),
+    # a module that the command cannot run on
+    (("limterm", "eval", "--alpha", "w", "--module",
+      "free(add-fin mod 2, w)", "--seq", "[0,w)->x0"),
+     "TheoryMismatchError: finitary theory: no infinitary sum"),
+    (("check", "limterm", "--alpha", "w", "--module",
+      "free(add-inf mod 2, w)", "--trials", "1"),
+     "InfiniteCarrierError: free(add-inf mod 2, w) is not finite"),
+    # answers past an interpreter limit are refused, not attempted
+    (("ordinal", "add", BIG, BIG),
+     "ResourceLimitError: a coefficient has more than"),
+    (("sumterm", "eval", "--alpha", "10000000", "--module",
+      "free(add-inf mod 2, w)", "--seq", "[0,10000000)->x0"),
+     "ResourceLimitError: a sum of 10000000 points over a free module"),
 ], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
         "level-order-0", "level-free", "theory-not-string", "ab5-set-w2", "refute-mod-0",
         "limterm-trials", "ab5-trials", "deep-ordinal", "deep-term",
@@ -510,12 +532,18 @@ def _argv_file(tmp_path, arg) -> str:
         "scal-superscript-digit", "family-bound-superscript-digit",
         "ordinal-too-many-digits", "scal-too-many-digits",
         "term-parse-unknown-op", "term-eval-unknown-op",
-        "refute-unknown-op"])
+        "refute-unknown-op", "refute-unbound-variable",
+        "term-eval-unbound-variable", "limterm-eval-finitary-free",
+        "check-limterm-free", "ordinal-sum-too-many-digits",
+        "free-sum-too-deep"])
 def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):
     argv = [_argv_file(tmp_path, a) for a in argv]
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    took = time.perf_counter() - start
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and needle in err
+    assert took < 1.0  # refused up front, not after building the answer
 
 
 # -- suite -------------------------------------------------------------------
@@ -607,6 +635,32 @@ def test_parser_text_is_pinned(capsys, monkeypatch):
     check_golden("parser_text.json", json.dumps(
         {"python": recorded["python"], "sha256": digests}, indent=1,
         sort_keys=True) + "\n")
+
+
+def test_the_command_table_alone_builds_the_parser_and_maps_errors():
+    # argparse calls live in build_parser, no handler dispatches on a verb,
+    # and no handler turns a library error into a ParseError: each row's
+    # usage_errors decide between exit 1 and 2
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    builder = next(node for node in tree.body
+                   if getattr(node, "name", None) == "build_parser")
+    in_builder = {id(node) for node in ast.walk(builder)}
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in (
+                 "add_parser", "add_argument", "add_subparsers")
+             and id(node) not in in_builder]
+    verbs = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("verb", "target")]
+    rewraps = [handler.lineno for handler in ast.walk(tree)
+               if isinstance(handler, ast.ExceptHandler)
+               and handler.type is not None
+               and any(isinstance(n, ast.Raise) for n in ast.walk(handler))
+               and any(isinstance(getattr(errors, n.id, None), type)
+                       and issubclass(getattr(errors, n.id), TranslimError)
+                       for n in ast.walk(handler.type)
+                       if isinstance(n, ast.Name))]
+    assert (stray, verbs, rewraps) == ([], [], [])
 
 
 def test_unknown_command_exits_two(capsys):

@@ -9,6 +9,8 @@ import importlib.util
 import json
 import pathlib
 
+from translim import cli
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -24,6 +26,14 @@ def test_corpus_covers_the_argv_grid():
     tool = _corpus_tool()
     entries = json.loads(tool.CORPUS.read_text(encoding="utf-8"))
     assert [e["argv"] for e in entries] == tool.argv_lists()
+
+
+def test_corpus_runs_every_command():
+    argvs = _corpus_tool().argv_lists()
+    missing = [row.path for row in cli.COMMANDS
+               if not any(tuple(argv[:len(row.path)]) == row.path
+                          for argv in argvs)]
+    assert len(cli.COMMANDS) == 15 and missing == []
 
 
 def test_corpus_replays_byte_for_byte(tmp_path):

@@ -1,5 +1,7 @@
 """Difference-and-sum recursion, summation routes, limit-term verdicts."""
 
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from translim import (
     LengthMismatchError,
     Lim,
     PwcSeq,
+    ResourceLimitError,
     TheoryMismatchError,
     TranslimError,
     UnboundVariableError,
@@ -217,6 +220,18 @@ def test_free_module_terms_match_the_references():
     assert lim_eval(free, fam) == _reference_lim_eval(free, fam)
     fam = _seq(free, [(0, 1, var(0)), (1, OMEGA, ZERO_TERM),
                       (OMEGA, w_plus, var(1))])
+    assert sum_eval_from_lim(free, fam) == _reference_sum(free, fam)
+
+
+def test_free_module_sum_refuses_a_nesting_past_the_recursion_limit():
+    # the peeled points nest one + each; two pieces, each under the limit,
+    # that together pass it are refused before the term is built
+    free = FreeSymbolic(AdditiveTheory(2), OMEGA)
+    half = sys.getrecursionlimit() // 2 + 1
+    fam = _seq(free, [(0, half, var(0)), (half, 2 * half, var(1))])
+    with pytest.raises(ResourceLimitError, match="recursion limit"):
+        sum_eval_from_lim(free, fam)
+    fam = _seq(free, [(0, 3, var(0)), (3, 5, var(1))])
     assert sum_eval_from_lim(free, fam) == _reference_sum(free, fam)
 
 
