@@ -168,7 +168,8 @@ def _cmd_check_limterm(args) -> int:
     lines.append(f"check limterm: {'PASS' if passed else 'FAIL'} "
                  f"({ok_n}/{len(reports)} instances)")
     _emit(args, lines, {"seed": args.seed, "alpha": args.alpha,
-                        "term": format_term(term), "reports": [r.to_json() for r in reports],
+                        "term": format_term(term),
+                        "reports": [r.to_json() for r in reports],
                         "passed": passed})
     return 0 if passed else 1
 
