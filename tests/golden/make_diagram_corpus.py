@@ -13,7 +13,8 @@ spelling of each of ORDINALS, and `term eval`, `limterm eval` and
 text and --json.  `sumterm restrict` sums each of FAMILIES inside its own
 length, a longer index and the overhung index 1, and `check refute` runs
 on --mod 1..4 x REFUTE_ALPHAS with and without a candidate term, text and
---json.
+--json.  FREE_FAMILIES runs `term eval`, `limterm eval`, `sumterm eval` and
+`sumterm restrict` over free modules, text and --json.
 
 Each entry is an argv list plus the sha256 of the JSON text of
 [exit code, stdout, stderr] that `translim.cli.main(argv)` produces.  An
@@ -71,6 +72,16 @@ FAMILIES = [
      "[0,w^(w+1)*2)->0; [ w^(w+1)*2 , w^(w+1)*2+2 ) -> 2;"
      "[w^(w+1)*2+2,w^(w+1)*3)->0",
      "(lim w^(w+1)*3 [0,w^(w+1)*3)->idx)"),
+]
+# (module, alpha, family over alpha, a term over alpha) over free modules:
+# explicit generators and at most four nonzero points, because a formal sum
+# through limits doubles in size with each nonzero point before a limit
+FREE_FAMILIES = [
+    ("free(add-inf mod 2, w)", "w", "[0,1)->x0; [1,3)->(+ x1 x2); [3,w)->zero",
+     "(+ x0 (scal 3 x1))"),
+    ("free(add-inf mod 3, w*2)", "w*2",
+     "[0,2)->x0; [2,w)->zero; [w,w+1)->(scal 2 xw); [w+1,w*2)->zero",
+     "(sum w*2 [0,3)->idx [3,w*2)->(- xw))"),
 ]
 # a finitary limit term exists at successor indices, and at limit indices
 # only over the zero ring (--mod 1)
@@ -139,6 +150,15 @@ def argv_lists():
                 argv = ["check", "refute", "--mod", str(mod),
                         "--alpha", alpha, *term]
                 runs += [argv, argv + ["--json"]]
+    for module, alpha, seq, expr in FREE_FAMILIES:
+        for argv in (["term", "eval", expr],
+                     ["term", "eval", built("lim", alpha)],
+                     ["limterm", "eval", "--alpha", alpha],
+                     ["sumterm", "eval", "--alpha", alpha],
+                     *(["sumterm", "restrict", "--alpha", ambient]
+                       for ambient in (alpha, f"{alpha}+w", "1"))):
+            argv += ["--module", module, "--seq", seq]
+            runs += [argv, argv + ["--json"]]
     return runs
 
 
