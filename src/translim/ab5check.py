@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .diagrams import InverseSystem, lim_to_prod_section_check
-from .errors import InvalidAlphaError, TheoryMismatchError, TranslimError
+from .errors import InvalidAlphaError, TranslimError
 from .instances import FiniteMod, Homomorphism
 from .ordinal import OMEGA, ZERO, Ordinal, format_ordinal, from_int, \
     sample_points_below
@@ -136,51 +136,44 @@ class DiagonalReport:
         }
 
 
-def diagonal_factorization(theory: AdditiveTheory, index: Ordinal,
-                           modules=None) -> DiagonalReport:
+def diagonal_factorization(theory: AdditiveTheory,
+                           index: Ordinal) -> DiagonalReport:
     """Produce and verify the factorizing term, or report that none exists.
 
     Verification evaluates the term on every one-point family m-at-x, for x
-    0 or one of the first six grid points, and demands m back per module.
+    0 or one of the first six grid points, and demands m back, over Z/n.
     Without infinitary summation the question is decided by the finite
     support argument, whose certificate is attached.
     """
     if index.is_zero:
         raise InvalidAlphaError("the diagonal needs an index of size >= 1")
     if theory.infinitary:
-        modules = modules or (FiniteMod(theory.modulus, (theory.modulus,)),)
         term = sum_term(index)
     elif index.is_finite:
         # finite sums are already finitary terms
-        modules = modules or (FiniteMod(theory.modulus, (theory.modulus,),
-                                        infinitary=False),)
         term = _finite_sum_term(index.to_int())
     elif theory.modulus == 1:
-        modules = modules or (FiniteMod(1, (1,), infinitary=False),)
         term = ZERO_TERM
     else:
         verdict = eta_surjective_decision(theory.modulus, index)
         return DiagonalReport(index, theory.literal, False, None, 0, None,
                               verdict.certificate)
+    module = FiniteMod(theory.modulus, (theory.modulus,), theory.infinitary)
     checks = 0
     witness = None
     points = [ZERO] + sample_points_below(index)[:6]
-    for module in modules:
-        if module.theory != theory:
-            raise TheoryMismatchError(
-                f"{module.literal} is not an instance of {theory.literal}")
-        for x in points:
-            for m in module.elements():
-                fam = PwcSeq.from_support([(x, m)], index, module.zero())
-                got = evaluate(term, module, fam)
-                checks += 1
-                if got != m and witness is None:
-                    witness = {
-                        "instance": module.literal,
-                        "at": format_ordinal(x),
-                        "value": module.format_element(m),
-                        "got": module.format_element(got),
-                    }
+    for x in points:
+        for m in module.elements():
+            fam = PwcSeq.from_support([(x, m)], index, module.zero())
+            got = evaluate(term, module, fam)
+            checks += 1
+            if got != m and witness is None:
+                witness = {
+                    "instance": module.literal,
+                    "at": format_ordinal(x),
+                    "value": module.format_element(m),
+                    "got": module.format_element(got),
+                }
     return DiagonalReport(index, theory.literal, True, term, checks, witness)
 
 
@@ -316,7 +309,7 @@ def audit_point(theory: AdditiveTheory, index: Ordinal, *, trials: int,
         reach = lim_to_prod_section_check(system, trials=section_trials,
                                           seed=seed)
         cond_reach = reach.passed
-        diagonal = diagonal_factorization(theory, index, (mod,))
+        diagonal = diagonal_factorization(theory, index)
     else:
         # limits: does any finitary term satisfy the laws; reach: do finite
         # sums of generators fill the whole product

@@ -11,8 +11,8 @@ level, so the limit has a finite model: the set of anchor values realized
 by threads is the stabilized image of G, on which G is bijective.  The
 number of iterations needed for the image chain to stabilize is the depth
 reported by limit_object; it is the effective Mittag-Leffler certificate
-for the system.  A finite index or a constant tail needs no iteration:
-the limit is the top level itself.
+for the system.  A finite index or a constant tail takes the identity as
+G, so the chain is stable at once: the limit is the top level itself.
 
 Thread coordinates and the product retraction push single elements down
 the maps (InverseSystem.push_down); no composite table is ever built.
@@ -57,7 +57,9 @@ class InverseSystem:
     prefix: tuple
     maps: tuple
     tail: str | None = "constant"
-    _identity = None  # the map past a constant-tail prefix; not a field
+    # every map past the prefix: the last map under repeat-last-block, else
+    # the identity of the top level; derived in __post_init__, not a field
+    tail_map = None
 
     def __post_init__(self):
         if not self.prefix:
@@ -94,6 +96,9 @@ class InverseSystem:
             raise InvalidAlphaError(
                 f"system index must be omega or finite >= 1, "
                 f"got {format_ordinal(self.index)}")
+        object.__setattr__(
+            self, "tail_map", self.maps[-1] if self.tail == "repeat-last-block"
+            else Homomorphism.identity(self.prefix[-1]))
 
     @property
     def height(self) -> int:
@@ -118,18 +123,11 @@ class InverseSystem:
         if self.index != OMEGA:
             raise IndexOutOfRangeError(
                 f"map {j} of a height-{self.height} finite system")
-        if self.tail == "repeat-last-block":
-            return self.maps[-1]
-        if self._identity is None:
-            object.__setattr__(self, "_identity",
-                               Homomorphism.identity(self.prefix[-1]))
-        return self._identity
+        return self.tail_map
 
     def push_down(self, x, j: int, i: int):
         """The image at level i of the level-j element x (i <= j), one table
-        lookup per map.  Past the prefix a constant tail is identities, so
-        the push starts at the top of the prefix; a repeated block applies
-        the last map until it gets there."""
+        lookup per map; past the prefix every step is the tail map."""
         if i > j:
             raise IndexOutOfRangeError(f"no map from level {j} up to {i}")
         top = self.height - 1
@@ -137,13 +135,10 @@ class InverseSystem:
             if self.index != OMEGA:
                 raise IndexOutOfRangeError(
                     f"level {j} of a height-{self.height} finite system")
-            if self.tail == "constant":
-                j = top
-            else:
-                step = self.maps[-1].table
-                while j > top and j > i:
-                    x = step[x]
-                    j -= 1
+            step = self.tail_map.table
+            while j > top and j > i:
+                x = step[x]
+                j -= 1
         for f in reversed(self.maps[i:j]):
             x = f.table[x]
         return x
@@ -184,18 +179,14 @@ class LimitObject:
             y = self._lift[y]
         return y
 
-    def __repr__(self):
-        return (f"LimitObject(anchor={self.anchor}, depth={self.depth}, "
-                f"carrier={self.carrier.literal})")
-
 
 def limit_object(system: InverseSystem) -> LimitObject:
     """Compute the limit of the system as a LimitObject.
 
-    A finite index or a constant tail has the whole top level as its
-    carrier, at depth 0.  Under repeat-last-block the image chain of the
-    tail endomorphism is iterated until it stabilizes; the number of
-    steps is the reported depth.  The chain is a chain of subgroups and
+    The image chain of the tail map on the top level is iterated until it
+    stabilizes; the number of steps is the reported depth.  A finite index
+    or a constant tail has the identity as its tail map, so its carrier is
+    the whole top level, at depth 0.  The chain is a chain of subgroups and
     each strict step at least halves the size, so the depth is at most
     log2 of the size of the top level.
     """
@@ -203,22 +194,17 @@ def limit_object(system: InverseSystem) -> LimitObject:
     current = set(top.elements())
     gens = top.generators()
     depth = 0
-    if system.tail != "repeat-last-block":
-        # a finite index or a constant tail: every top element anchors a
-        # thread, and the levels above the top repeat it
-        lift = dict(zip(current, current))
-    else:
-        step = system.maps[-1].table.__getitem__
-        while (nxt := set(map(step, current))) != current:
-            depth += 1
-            current = nxt
-            gens = [step(g) for g in gens]
-        lift = dict(zip(map(step, current), current))
-        # on the stabilized image the endomorphism is onto, hence bijective
-        if len(lift) != len(current):
-            raise TranslimError(
-                f"the endomorphism is not injective on the stabilized image "
-                f"({len(current)} elements, {len(lift)} distinct images)")
+    step = system.tail_map.table.__getitem__
+    while (nxt := set(map(step, current))) != current:
+        depth += 1
+        current = nxt
+        gens = [step(g) for g in gens]
+    lift = dict(zip(map(step, current), current))
+    # on the stabilized image the endomorphism is onto, hence bijective
+    if len(lift) != len(current):
+        raise TranslimError(
+            f"the endomorphism is not injective on the stabilized image "
+            f"({len(current)} elements, {len(lift)} distinct images)")
     # the image of endo^depth is spanned by the images of the generators
     carrier = Submodule._spanned(top, tuple(sorted(current)), gens, current)
     return LimitObject(system, system.height - 1, carrier, depth, lift)
@@ -341,9 +327,6 @@ class SystemMorphism:
         stored maps hom_at only repeats the last one."""
         return next((j for j, h in enumerate(self.homs)
                      if not is_regular_epi(h)), None)
-
-    def levelwise_epi(self) -> bool:
-        return self.first_non_epi_level() is None
 
     def _limit_objects(self):
         if self._limits is None:

@@ -57,7 +57,19 @@ class InvalidAlphaError(TranslimError):
 
 class ResourceLimitError(TranslimError):
     """An input whose answer the library cannot build or print within an
-    interpreter limit; the message names the limit."""
+    interpreter limit or the enumeration limit; the message names the limit."""
+
+
+ENUMERATION_LIMIT = 1 << 20  # items in one carrier, table or sample grid
+
+
+def check_enumeration(count: int, what) -> None:
+    """Refuse a listing of more than ENUMERATION_LIMIT items before it is
+    built; what() names it, and is called only then."""
+    if count > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"{what()} can list more than {ENUMERATION_LIMIT} items, the "
+            "enumeration limit")
 
 
 class LevelwiseNotEpiError(TranslimError):

@@ -41,6 +41,7 @@ from .errors import (
     ParseError,
     TheoryMismatchError,
     TranslimError,
+    check_enumeration,
 )
 from .ordinal import (Ordinal, format_ordinal, interval_cardinality,
                       parse_ordinal)
@@ -59,18 +60,17 @@ class ModuleInstance:
     """Operation dispatch shared by every kind of instance."""
 
     def apply(self, op, args):
-        th = self.theory
-        if isinstance(th, AdditiveTheory):
-            if op == "+":
-                return self.add(args[0], args[1])
-            if op == "-":
-                return self.neg(args[0])
-            if op == "zero":
-                return self.zero()
-            if isinstance(op, tuple) and len(op) == 2 and op[0] == "scal":
-                return self.scal(op[1], args[0])
-        raise TheoryMismatchError(
-            f"operation {op!r} is not provided by {getattr(th, 'literal', th)}")
+        ar = self.theory.arity(op)
+        if ar != len(args):
+            raise TheoryMismatchError(
+                f"operation {op!r} expects {ar} arguments, got {len(args)}")
+        if op == "+":
+            return self.add(*args)
+        if op == "-":
+            return self.neg(*args)
+        if op == "zero":
+            return self.zero()
+        return self.scal(op[1], *args)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -142,6 +142,7 @@ class FiniteMod(ModuleInstance):
         return tuple([(r * x) % m for x, m in zip(a, self.shape)])
 
     def elements(self):
+        check_enumeration(self.size, lambda: f"the carrier of {self.literal}")
         return list(itertools.product(*map(range, self.shape)))
 
     def contains(self, x):
@@ -198,9 +199,6 @@ class FiniteMod(ModuleInstance):
                            for c, m in zip(data, self.shape))):
             raise ParseError(f"bad element {data!r} for {self.literal}")
         return tuple(data)
-
-    def __str__(self):
-        return self.literal
 
 
 @dataclass(frozen=True)
@@ -282,48 +280,25 @@ class Submodule(ModuleInstance):
 class FreeSymbolic(ModuleInstance):
     """The module of formal terms over `generators`-many variables."""
 
-    theory_: object
+    theory: AdditiveTheory
     generators: Ordinal
-
-    @property
-    def theory(self):
-        return self.theory_
 
     is_finite = False
 
-    def _additive(self):
-        if not isinstance(self.theory_, AdditiveTheory):
-            raise TheoryMismatchError(
-                f"{self.theory_.literal} has no additive structure")
-
     def zero(self):
-        self._additive()
         return App("zero", ())
 
     def add(self, a, b):
-        self._additive()
         return App("+", (a, b))
 
     def neg(self, a):
-        self._additive()
         return App("-", (a,))
 
     def scal(self, r, a):
-        self._additive()
-        return App(("scal", r % self.theory_.modulus), (a,))
-
-    def apply(self, op, args):
-        ar = self.theory_.arity(op)
-        if ar != len(args):
-            raise TheoryMismatchError(
-                f"operation {op!r} expects {ar} arguments, got {len(args)}")
-        if isinstance(op, tuple):
-            return self.scal(op[1], args[0])
-        return App(op, tuple(args))
+        return App(("scal", r % self.theory.modulus), (a,))
 
     def infinitary_sum(self, seq: PwcSeq):
-        self._additive()
-        if not self.theory_.infinitary:
+        if not self.theory.infinitary:
             raise TheoryMismatchError(
                 "finitary theory: no infinitary sum in the free module")
         return Sum(seq.length, seq)
@@ -333,20 +308,20 @@ class FreeSymbolic(ModuleInstance):
 
     def contains(self, x):
         try:
-            check_term(self.theory_, x, self.generators)
+            check_term(self.theory, x, self.generators)
         except TranslimError:
             return False
         return True
 
     @property
     def literal(self):
-        return f"free({self.theory_.literal}, {format_ordinal(self.generators)})"
+        return f"free({self.theory.literal}, {format_ordinal(self.generators)})"
 
     def format_element(self, x):
         return format_term(x)
 
     def parse_element(self, text):
-        return parse_term(text, self.theory_, self.generators)
+        return parse_term(text, self.theory, self.generators)
 
 
 # -- homomorphisms -------------------------------------------------------------
@@ -427,6 +402,8 @@ class Homomorphism:
         # j-th order, one list in elements() order per j; a free codomain
         # fails every order condition, so it gets here from a rank-0 domain
         orders = _underlying(codomain).shape if codomain.is_finite else ()
+        check_enumeration(domain.size,
+                          lambda: f"a map out of {domain.literal}")
         columns = []
         for j, n in enumerate(orders):
             col = [0]
@@ -530,10 +507,10 @@ def parse_instance(text: str):
     if text.startswith("free(") and text.endswith(")"):
         inner = text[5:-1]
         try:
-            theory_text, gen_text = inner.rsplit(",", 1)
+            th_text, gen_text = inner.rsplit(",", 1)
         except ValueError:
             raise ParseError("free(...) needs a theory and a variable ordinal") from None
-        theory = parse_theory(theory_text.strip())
+        theory = parse_theory(th_text.strip())
         return FreeSymbolic(theory, parse_ordinal(gen_text.strip()))
     parts = [p.strip() for p in text.split("x")]
     shape = []

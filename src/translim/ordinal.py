@@ -21,7 +21,8 @@ from __future__ import annotations
 import functools
 import sys
 
-from .errors import OrdinalUnderflowError, ParseError, ResourceLimitError
+from .errors import (OrdinalUnderflowError, ParseError, ResourceLimitError,
+                     check_enumeration)
 
 
 class Ordinal(tuple):
@@ -41,8 +42,6 @@ class Ordinal(tuple):
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Ordinal":
-        if isinstance(other, int):
-            other = from_int(other)
         if not isinstance(other, Ordinal):
             return NotImplemented
         if not other:
@@ -62,8 +61,6 @@ class Ordinal(tuple):
         return Ordinal(self[:keep] + ((e, c),) + other[1:])
 
     def __radd__(self, other) -> "Ordinal":
-        if isinstance(other, int):
-            return from_int(other) + self
         # NotImplemented here would fall back to tuple concatenation
         raise TypeError(f"cannot add an Ordinal to a {type(other).__name__}")
 
@@ -357,6 +354,9 @@ def sample_points_below(alpha: Ordinal) -> list:
 def _sample_grid(alpha: Ordinal) -> tuple:
     if alpha <= ONE:
         return ()
+    # within a few: a point per unit of finite coefficient, two otherwise
+    check_enumeration(sum(2 * c if e else c for e, c in alpha),
+                      lambda: f"the sample grid below {format_ordinal(alpha)}")
     pts = {ONE, from_int(2)}
     acc = ZERO
     for e, c in alpha:

@@ -220,14 +220,6 @@ class PwcSeq:
                 idx = idx + ONE
         return out
 
-    def __str__(self):
-        return format_pwc(self, str)
-
-    def __repr__(self):
-        body = ";".join(
-            f"[{lo},{hi})->{v!r}" for lo, hi, v in self.pieces())
-        return f"PwcSeq({body or 'empty'})"
-
 
 # -- textual form -------------------------------------------------------------
 # semicolon-separated pieces  "[<ordinal>,<ordinal>) -> <value>", or "empty".

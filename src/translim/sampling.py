@@ -112,23 +112,22 @@ def random_system(rng, modulus: int, *, infinitary: bool = True):
     return InverseSystem(OMEGA, levels, maps, tail)
 
 
-def random_surjective_system_morphism(rng, modulus: int, *,
-                                      level_size_cap: int = 8):
+def random_surjective_system_morphism(rng, modulus: int):
     """A levelwise-surjective morphism of omega-systems, by construction.
 
     The target is a random_system of the infinitary theory; source level j
     is target level j times a random factor, the morphism is the
     projection, and the source maps are (target map, random map), so every
     square commutes and every level map is onto.  No rejection sampling is
-    involved.  Factors are budgeted so source levels stay within
-    level_size_cap elements.
+    involved.  Factors are budgeted so source levels stay within 8
+    elements.
     """
     from .diagrams import InverseSystem, SystemMorphism
     target = random_system(rng, modulus)
     height = len(target.prefix)
     factors = [random_divisor_shape(
         rng, modulus, max_rank=1,
-        max_size=max(1, level_size_cap // target.prefix[j].size))
+        max_size=max(1, 8 // target.prefix[j].size))
         for j in range(height)]
     if target.tail == "repeat-last-block":
         factors[-1] = factors[-2]

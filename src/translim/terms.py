@@ -95,9 +95,6 @@ class Var:
 class IndexVar:
     """The variable whose index is the position in the nearest enclosing family."""
 
-    def __repr__(self):
-        return "IndexVar()"
-
 
 @dataclass(frozen=True, slots=True)
 class App:
@@ -267,11 +264,13 @@ def evaluate(term, module, assignment: PwcSeq, *, _bound=_NO_BOUND):
     tt = type(term)
     if tt is Var:
         try:
-            return assignment.value_at(term.index)
+            v = assignment.value_at(term.index)
         except IndexOutOfRangeError:
             raise UnboundVariableError(
                 f"variable x{format_ordinal(term.index)} not covered by the "
                 f"assignment (length {format_ordinal(assignment.length)})") from None
+        # a free module's assignment may name the variable at its position
+        return replace_index(v, term) if mentions_index(v) else v
     if tt is IndexVar:
         if _bound is _NO_BOUND:
             raise UnboundVariableError("positional placeholder outside a family")
@@ -279,11 +278,10 @@ def evaluate(term, module, assignment: PwcSeq, *, _bound=_NO_BOUND):
     if tt is App:
         args = [evaluate(a, module, assignment, _bound=_bound) for a in term.args]
         return module.apply(term.op, args)
-    theory = module.theory
-    if not (isinstance(theory, AdditiveTheory) and theory.infinitary):
+    if not module.theory.infinitary:
         raise TheoryMismatchError(
             f"{'Sum' if tt is Sum else 'Lim'} node needs an infinitary "
-            f"additive theory, module has {getattr(theory, 'literal', theory)}")
+            f"additive theory, module has {module.theory.literal}")
     fam = eval_family(term.family, module, assignment)
     if tt is Sum:
         return module.infinitary_sum(fam)
@@ -328,7 +326,7 @@ def check_term(theory, term, variable_limit: Ordinal | None = None):
         for a in term.args:
             check_term(theory, a, variable_limit)
         return
-    if not (isinstance(theory, AdditiveTheory) and theory.infinitary):
+    if not theory.infinitary:
         raise TheoryMismatchError(
             "Sum/Lim nodes need an infinitary additive theory")
     for _, hi, u in term.family.pieces():

@@ -14,7 +14,8 @@ text and --json.  `sumterm restrict` sums each of FAMILIES inside its own
 length, a longer index and the overhung index 1, and `check refute` runs
 on --mod 1..4 x REFUTE_ALPHAS with and without a candidate term, text and
 --json.  FREE_FAMILIES runs `term eval`, `limterm eval`, `sumterm eval` and
-`sumterm restrict` over free modules, text and --json.
+`sumterm restrict` over free modules, and `term eval` under the identity
+assignment `[0,w)->idx`, text and --json.
 
 Each entry is an argv list plus the sha256 of the JSON text of
 [exit code, stdout, stderr] that `translim.cli.main(argv)` produces.  An
@@ -159,6 +160,10 @@ def argv_lists():
                        for ambient in (alpha, f"{alpha}+w", "1"))):
             argv += ["--module", module, "--seq", seq]
             runs += [argv, argv + ["--json"]]
+    # [0,w)->idx is the identity assignment, so the term comes back
+    argv = ["term", "eval", "(+ x0 (scal 3 x1))", "--module",
+            "free(add-inf mod 2, w)", "--seq", "[0,w)->idx"]
+    runs += [argv, argv + ["--json"]]
     return runs
 
 

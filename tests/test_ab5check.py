@@ -13,7 +13,6 @@ from translim import (
     InvalidAlphaError,
     PwcSeq,
     Sum,
-    TheoryMismatchError,
     ZERO_TERM,
     diagonal_factorization,
     equivalence_audit,
@@ -106,8 +105,6 @@ def test_diagonal_finitary_trivial_module():
 def test_diagonal_input_validation():
     with pytest.raises(InvalidAlphaError):
         diagonal_factorization(AdditiveTheory(2), ZERO)
-    with pytest.raises(TheoryMismatchError):
-        diagonal_factorization(AdditiveTheory(2), OMEGA, modules=(Z4,))
 
 
 def _recovers_one_point_families(term, module, index):

@@ -213,8 +213,7 @@ def test_criterion_07_inverse_limits_of_sampled_epis_stay_surjective():
     moduli = (2, 3, 4, 6)
     for seed in range(200):
         rng = random.Random(seed)
-        phi = random_surjective_system_morphism(rng, moduli[seed % 4],
-                                                level_size_cap=8)
+        phi = random_surjective_system_morphism(rng, moduli[seed % 4])
         report = check_inverse_limit_surjectivity(phi)
         assert report.limit_epi, (seed, report.missed)
         assert report.source_depth <= 4

@@ -522,6 +522,14 @@ def _argv_file(tmp_path, arg) -> str:
     (("sumterm", "eval", "--alpha", "10000000", "--module",
       "free(add-inf mod 2, w)", "--seq", "[0,10000000)->x0"),
      "ResourceLimitError: a sum of 10000000 points over a free module"),
+    # listings past the enumeration limit are refused before they are built
+    (("check", "ab5", "--ring", "100000000"),
+     "ResourceLimitError: the carrier of Z/100000000 can list more than "
+     "1048576 items"),
+    (("check", "ab5", "--ring", "3000000"),
+     "ResourceLimitError: the carrier of Z/3000000 can list more than"),
+    (("ordinal", "points", "100000000"),
+     "ResourceLimitError: the sample grid below 100000000 can list more"),
 ], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
         "level-order-0", "level-free", "theory-not-string", "ab5-set-w2", "refute-mod-0",
         "limterm-trials", "ab5-trials", "deep-ordinal", "deep-term",
@@ -535,7 +543,8 @@ def _argv_file(tmp_path, arg) -> str:
         "refute-unknown-op", "refute-unbound-variable",
         "term-eval-unbound-variable", "limterm-eval-finitary-free",
         "check-limterm-free", "ordinal-sum-too-many-digits",
-        "free-sum-too-deep"])
+        "free-sum-too-deep", "ab5-ring-10^8",
+        "ab5-ring-3*10^6", "ordinal-points-10^8"])
 def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):
     argv = [_argv_file(tmp_path, a) for a in argv]
     start = time.perf_counter()

@@ -163,12 +163,9 @@ def push_down_by_map_calls(system, x, j, i):
     """InverseSystem.push_down as it was, one map_at call per step."""
     if i > j:
         raise IndexOutOfRangeError(f"no map from level {j} up to {i}")
-    if j >= system.height:
-        if system.index != OMEGA:
-            raise IndexOutOfRangeError(
-                f"level {j} of a height-{system.height} finite system")
-        if system.tail == "constant":
-            j = system.height - 1
+    if j >= system.height and system.index != OMEGA:
+        raise IndexOutOfRangeError(
+            f"level {j} of a height-{system.height} finite system")
     for k in range(j - 1, i - 1, -1):
         x = system.map_at(k)(x)
     return x
@@ -469,9 +466,9 @@ def test_morphism_level_access_and_epi():
     src = constant_system(Z4)
     phi = SystemMorphism(src, src, (MULT2,))
     assert phi.hom_at(4) == MULT2
-    assert not phi.levelwise_epi()
+    assert phi.first_non_epi_level() is not None
     ident_phi = SystemMorphism(src, src, (IDENT,))
-    assert ident_phi.levelwise_epi()
+    assert ident_phi.first_non_epi_level() is None
     fin = InverseSystem(from_int(2), (Z4, Z4), (IDENT,), None)
     psi = SystemMorphism(fin, fin, (IDENT, IDENT))
     with pytest.raises(IndexOutOfRangeError):
@@ -481,7 +478,6 @@ def test_morphism_level_access_and_epi():
     killed = InverseSystem(from_int(2), (Z4, Z4), (ZERO4,), None)
     fin_phi = SystemMorphism(killed, killed, (IDENT, MULT2))
     assert fin_phi.first_non_epi_level() == 1
-    assert not fin_phi.levelwise_epi()
 
 
 def test_induced_limit_map_functoriality():
@@ -537,19 +533,24 @@ def test_surjectivity_check_computes_each_limit_once(monkeypatch):
 
 
 def test_constant_tail_identity_is_built_once(monkeypatch):
-    system = constant_system(Z4, levels=2)
     built = [0]
 
     def identity(module, original=Homomorphism.identity):
         built[0] += 1
         return original(module)
 
+    system = InverseSystem(OMEGA, (Z4, Z4), (IDENT,), "constant")
     monkeypatch.setattr(Homomorphism, "identity", staticmethod(identity))
-    past = system.map_at(1)
-    assert past == IDENT and past is system.map_at(2) is system.map_at(7)
+    twin = InverseSystem(OMEGA, (Z4, Z4), (IDENT,), "constant")
+    assert built[0] == 1  # at construction
+    past = twin.map_at(1)
+    assert past == IDENT and past is twin.map_at(2) is twin.map_at(7)
+    limit_object(twin)
+    twin.push_down((1,), 9, 0)
     assert built[0] == 1
-    assert system == constant_system(Z4, levels=2)
-    assert "_identity" not in repr(system)
+    # derived, so equality and repr skip it
+    assert twin == system
+    assert "tail_map" not in repr(twin)
 
 
 # -- the retraction ---------------------------------------------------------------------

@@ -22,6 +22,7 @@ from translim import (
     InfiniteCarrierError,
     ParseError,
     PwcSeq,
+    ResourceLimitError,
     Submodule,
     Sum,
     TheoryMismatchError,
@@ -362,6 +363,17 @@ def test_free_symbolic_element_text():
     assert free.format_element(t) == "(+ x0 (scal 1 x3))"
     with pytest.raises(UnboundVariableError):
         FreeSymbolic(AdditiveTheory(2), from_int(2)).parse_element("x5")
+
+
+# -- the enumeration limit ----------------------------------------------------------
+
+def test_carriers_and_tables_past_the_enumeration_limit_are_refused():
+    big = FiniteMod(2**21, (2**21,))
+    assert big.size == 2**21 and big.contains((2**21 - 1,))
+    with pytest.raises(ResourceLimitError, match="carrier of Z/2097152 "):
+        big.elements()
+    with pytest.raises(ResourceLimitError, match="map out of Z/2097152 "):
+        Homomorphism.from_generator_images(big, big, [(1,)])
 
 
 # -- homomorphisms ------------------------------------------------------------------

@@ -10,6 +10,7 @@ from translim import (
     ZERO,
     OrdinalUnderflowError,
     ParseError,
+    ResourceLimitError,
     format_ordinal,
     from_int,
     left_subtract,
@@ -199,9 +200,13 @@ def test_equal_ordinals_hash_alike(xs):
     lambda: () + OMEGA,
     lambda: OMEGA + (),
     lambda: OMEGA < (1,),
-], ids=["omega*2", "2*omega", "()+omega", "omega+()", "omega<(1,)"])
+    lambda: OMEGA + 1,
+    lambda: 1 + OMEGA,
+], ids=["omega*2", "2*omega", "()+omega", "omega+()", "omega<(1,)",
+        "omega+1", "1+omega"])
 def test_tuple_operators_are_not_ordinal_operators(operation):
-    # concatenation and repetition are not ordinal sum and product
+    # concatenation and repetition are not ordinal sum and product, and an
+    # int is not an ordinal (from_int converts one)
     with pytest.raises(TypeError):
         operation()
 
@@ -278,6 +283,14 @@ def test_sample_points_are_a_fresh_list_each_call():
     first.reverse()
     assert sample_points_below(alpha) == expected
     assert sample_points_below(alpha) is not sample_points_below(alpha)
+
+
+def test_sample_grid_stays_within_the_enumeration_limit():
+    # the grid of w*100000 (check limterm --alpha w*100000) still lists
+    assert len(sample_points_below(parse_ordinal("w*100000"))) == 200001
+    # two points per unit of an infinite coefficient would pass 2^20
+    with pytest.raises(ResourceLimitError, match="grid below w\\*524289 "):
+        sample_points_below(parse_ordinal("w*524289"))
 
 
 def test_interval_cardinality():

@@ -15,6 +15,7 @@ from translim import (
     App,
     DivergentSumError,
     FiniteMod,
+    FreeSymbolic,
     LengthMismatchError,
     Lim,
     ParseError,
@@ -267,6 +268,48 @@ def test_evaluate_nodes_need_infinitary_theory():
         evaluate(sum_term(from_int(2)), fin, a)
     with pytest.raises(TheoryMismatchError):
         evaluate(Lim(from_int(2), basis_family(from_int(2))), fin, a)
+
+
+@pytest.mark.parametrize(
+    "module", [Z2, parse_instance("free(add-inf mod 2, w)")],
+    ids=["Z/2", "free"])
+@pytest.mark.parametrize("term", [
+    App("+", (var(0),)), App("-", (var(0), var(1))), App("foo", ())],
+    ids=["plus-one-arg", "minus-two-args", "unknown-op"])
+def test_evaluate_checks_arity_on_every_module(module, term):
+    # evaluate takes unchecked terms; every module dispatches through
+    # ModuleInstance.apply, which checks the arity first
+    a = PwcSeq.constant(module.zero(), OMEGA)
+    with pytest.raises(TheoryMismatchError):
+        evaluate(term, module, a)
+
+
+def _scalars_reduced(t, n):
+    if type(t) is not App:
+        return t
+    op = ("scal", t.op[1] % n) if isinstance(t.op, tuple) else t.op
+    return App(op, tuple(_scalars_reduced(a, n) for a in t.args))
+
+
+def app_var_terms(alpha):
+    leaves = (st.sampled_from([ZERO] + sample_points_below(alpha)).map(Var)
+              | st.just(ZERO_TERM))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda ab: App("+", ab)),
+        kids.map(lambda a: App("-", (a,))),
+        st.tuples(st.integers(0, 9), kids).map(lambda rt: scal(*rt))),
+        max_leaves=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6),
+       TERM_ALPHAS.flatmap(lambda a: st.tuples(app_var_terms(a), st.just(a))))
+def test_free_module_evaluates_a_term_on_its_basis_to_itself(n, pair):
+    # the basis family names each variable at its own position, through
+    # the placeholder, so no idx may survive into the value
+    t, alpha = pair
+    free = FreeSymbolic(AdditiveTheory(n), alpha)
+    assert evaluate(t, free, basis_family(alpha)) == _scalars_reduced(t, n)
 
 
 def test_evaluate_unbound_errors():
