@@ -60,6 +60,11 @@ Z4 = parse_instance("Z/4")
 Z6 = parse_instance("Z/6")
 
 
+def _case_id(value):
+    """A module parameter by its literal, any other by its str."""
+    return value.literal if isinstance(value, FiniteMod) else str(value)
+
+
 def _seq(module, pieces):
     return PwcSeq.from_pieces(
         [(from_int(lo) if isinstance(lo, int) else lo,
@@ -189,7 +194,7 @@ def _reference_sum(module, fam):
     return core if tail is None else module.add(core, tail)
 
 
-@pytest.mark.parametrize("module", standard_battery(), ids=str)
+@pytest.mark.parametrize("module", standard_battery(), ids=_case_id)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_one_pass_lim_eval_matches_the_recursion(module, data):
@@ -198,7 +203,7 @@ def test_one_pass_lim_eval_matches_the_recursion(module, data):
             == lim_value(module, fam))
 
 
-@pytest.mark.parametrize("module", standard_battery(), ids=str)
+@pytest.mark.parametrize("module", standard_battery(), ids=_case_id)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_piecewise_peeling_matches_point_by_point(module, data):
@@ -261,7 +266,8 @@ def test_lim_eval_makes_no_recursive_call(monkeypatch):
 
 @pytest.mark.parametrize("alpha_text",
                          ["2000000", "w+3000000", "w^2+w*3+1000000"])
-@pytest.mark.parametrize("module, v", [(Z4, (3,)), (Z6, (5,))], ids=str)
+@pytest.mark.parametrize("module, v", [(Z4, (3,)), (Z6, (5,))],
+                         ids=_case_id)
 def test_sum_peeling_follows_pieces_not_coefficients(monkeypatch, alpha_text,
                                                      module, v):
     alpha = parse_ordinal(alpha_text)
