@@ -138,6 +138,9 @@ class FiniteMod(ModuleInstance):
     def neg(self, a):
         return tuple([(-x) % m for x, m in zip(a, self.shape)])
 
+    def sub(self, a, b):
+        return tuple([(x - y) % m for x, y, m in zip(a, b, self.shape)])
+
     def scal(self, r, a):
         return tuple([(r * x) % m for x, m in zip(a, self.shape)])
 
@@ -251,6 +254,9 @@ class Submodule(ModuleInstance):
 
     def neg(self, a):
         return self.parent.neg(a)
+
+    def sub(self, a, b):
+        return self.parent.sub(a, b)
 
     def scal(self, r, a):
         return self.parent.scal(r, a)

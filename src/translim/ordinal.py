@@ -163,9 +163,19 @@ def split_finite(a: Ordinal):
 
 
 def interval_cardinality(b: Ordinal, e: Ordinal):
-    """Number of points in [b, e) if finite, else None.  Requires b <= e."""
-    d = left_subtract(b, e)
-    return d.to_int() if d.is_finite else None
+    """Number of points in [b, e) if finite, else None.  Requires b <= e.
+
+    The interval is finite exactly when b and e share their limit part;
+    a larger limit part is always the larger ordinal, whatever the
+    finite coefficients.
+    """
+    lb, nb = split_finite(b)
+    le, ne = split_finite(e)
+    if lb == le and nb <= ne:
+        return ne - nb
+    if lb < le:
+        return None
+    raise OrdinalUnderflowError(f"{b} > {e}")
 
 
 # -- textual form -----------------------------------------------------------

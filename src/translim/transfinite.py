@@ -24,9 +24,15 @@ Sums over a limit-length index are in turn limits of partial sums, which
 is what sum_eval_from_lim implements; it exists so that summation can be
 validated against the independent finite-support sum of the instances,
 which adds n times the value of each nonzero piece of n points and so
-costs O(pieces).  A successor length is peeled one piece at a time: n
-equal points add up to n times their value, so the cost follows the
-number of pieces, not the size of the finite coefficients.
+costs O(pieces).  sum_eval_from_lim walks the pieces once.  A successor
+length is peeled one piece at a time from the end, each piece sized from
+the limit parts of its bounds: n equal points add up to n times their
+value, so the peel costs a step per piece, not per unit of a finite
+coefficient, and on a finite instance a zero piece costs no module
+operation.  The pieces left below the limit part go straight into the
+partial-sum family.  It steps once per point of a nonzero piece, one
+addition at a time, which keeps it independent of the instances' sum;
+its point count is held to the enumeration limit.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .errors import (
     PositiveVerdictError,
     ResourceLimitError,
     TranslimError,
+    check_enumeration,
 )
 from .instances import FiniteMod
 from .ordinal import (
@@ -50,6 +57,8 @@ from .ordinal import (
     ZERO,
     Ordinal,
     format_ordinal,
+    from_int,
+    interval_cardinality,
     left_subtract,
     split_finite,
 )
@@ -126,33 +135,37 @@ def lim_value(module, fam: PwcSeq):
 def sum_eval_from_lim(module, fam: PwcSeq):
     """Sum of fam computed through the limit recursion.
 
-    A successor length peels the last piece whole: if the piece is finite,
-    its n points contribute n times its value and the length drops to the
-    piece start; otherwise the piece covers the length's finite
+    A successor length peels the last piece whole, reading its size off
+    the limit parts of its start lo and of the length b: if they are
+    equal the piece is finite, its n points contribute n times its value
+    and the length drops to lo; otherwise the piece covers b's finite
     coefficient c, which contributes c times the value, and the length
-    drops to its limit part.  The remaining limit length takes the limit
-    of the partial-sum family, which is piecewise constant exactly when
-    the nonzero part of fam is finite (DivergentSumError otherwise).
+    drops to its limit part, where the rest of the piece stays.  On a
+    finite instance a zero piece only moves the length.  The remaining
+    limit length takes the limit of the partial-sum family of the pieces
+    left, which is piecewise constant exactly when their nonzero part is
+    finite (DivergentSumError otherwise).
     """
     tail = None
     nested = 0  # copies of a value in tail
-    b = fam.length
+    lim_b, n_b = split_finite(fam.length)
     pieces = fam.pieces()
-    while b.is_successor:
+    skip_zero = module.is_finite
+    zero = module.zero()
+    while n_b:
         lo, _, v = pieces.pop()
-        rest = left_subtract(lo, b)
-        if rest.is_finite:
-            n, b = rest.to_int(), lo
+        lim_lo, n_lo = split_finite(lo)
+        if lim_lo == lim_b:
+            n, n_b = n_b - n_lo, n_lo
         else:
-            b, n = split_finite(b)
+            n, n_b = n_b, 0
+            pieces.append((lo, lim_b, v))
+        if skip_zero and v == zero:
+            continue
         tail = _add_copies(module, n, v, tail, nested)
         nested += n
-    if b.is_zero:
-        core = module.zero()
-    else:
-        if b != fam.length:
-            fam = fam.prefix(b)
-        core = _lim_of_partial_sums(module, fam)
+    core = (zero if lim_b.is_zero
+            else _lim_of_partial_sums(module, pieces, lim_b))
     if tail is None:
         return core
     return module.add(core, tail)
@@ -180,22 +193,41 @@ def _add_copies(module, n, v, tail, nested):
     return tail
 
 
-def _lim_of_partial_sums(module, fam: PwcSeq):
-    b = fam.length
+def _lim_of_partial_sums(module, pieces, b: Ordinal):
+    """lim_eval of the partial sums of the pieces, which tile [0, b).
+
+    The partial sum steps at each point of a nonzero piece, one
+    module.add per point, so the family gets one piece per point.  A
+    nonzero piece of infinitely many points raises DivergentSumError;
+    otherwise the total point count is held to the enumeration limit
+    before any point is listed.
+    """
     zero = module.zero()
-    support = fam.support_if_finite(zero)
-    if support is None:
-        raise DivergentSumError(
-            f"family over {format_ordinal(b)} has infinite nonzero part")
-    pieces = []
+    runs = []
+    count = 0
+    for lo, hi, v in pieces:
+        if v == zero:
+            continue
+        n = interval_cardinality(lo, hi)
+        if n is None:
+            raise DivergentSumError(
+                f"family over {format_ordinal(b)} has infinite nonzero part")
+        runs.append((lo, n, v))
+        count += n
+    check_enumeration(
+        count, lambda: f"the partial sums over {format_ordinal(b)}")
+    sums = []
     acc = zero
     prev = ZERO
-    for x, v in support:
-        pieces.append((prev, x + ONE, acc))
-        acc = module.add(acc, v)
-        prev = x + ONE
-    pieces.append((prev, b, acc))
-    return lim_eval(module, PwcSeq.from_pieces(pieces))
+    for lo, n, v in runs:
+        lim_lo, n_lo = split_finite(lo)
+        for k in range(n_lo + 1, n_lo + n + 1):
+            nxt = lim_lo + from_int(k)
+            sums.append((prev, nxt, acc))
+            acc = module.add(acc, v)
+            prev = nxt
+    sums.append((prev, b, acc))
+    return lim_eval(module, PwcSeq._from_pieces(b, sums))
 
 
 def restrict_sum(module, fam: PwcSeq, alpha: Ordinal):

@@ -172,10 +172,10 @@ def pair_check_adds(monkeypatch):
 
 @pytest.fixture
 def module_ops(monkeypatch):
-    """A one-item list counting FiniteMod.add, neg and scal calls, which a
-    Submodule's operations make too."""
+    """A one-item list counting FiniteMod.add, neg, sub and scal calls,
+    which a Submodule's operations make too."""
     count = [0]
-    for name in ("add", "neg", "scal"):
+    for name in ("add", "neg", "sub", "scal"):
         method = getattr(FiniteMod, name)
 
         def counted(*args, method=method):

@@ -161,6 +161,15 @@ def test_term_eval_sums_ten_million_points_by_the_piece(capsys):
     assert took < 1.0
 
 
+def test_sumterm_eval_lists_points_below_the_enumeration_limit(capsys):
+    # the partial sums through limits step once per point of a nonzero
+    # piece; 10^5 points are under the limit
+    code, out, err = run_cli(capsys, "sumterm", "eval", "--alpha", "w",
+                             "--module", "Z/2",
+                             "--seq", "[0,100000)->1;[100000,w)->0")
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_sumterm_eval_divergent_is_check_failure(capsys):
     code, out, err = run_cli(capsys, "sumterm", "eval", "--alpha", "w",
                              "--module", "Z/4", "--seq", "[0,w)->1")
@@ -530,6 +539,10 @@ def _argv_file(tmp_path, arg) -> str:
      "ResourceLimitError: the carrier of Z/3000000 can list more than"),
     (("ordinal", "points", "100000000"),
      "ResourceLimitError: the sample grid below 100000000 can list more"),
+    (("sumterm", "eval", "--alpha", "w", "--module", "Z/2",
+      "--seq", "[0,10000000)->1;[10000000,w)->0"),
+     "ResourceLimitError: the partial sums over w can list more than "
+     "1048576 items"),
 ], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
         "level-order-0", "level-free", "theory-not-string", "ab5-set-w2", "refute-mod-0",
         "limterm-trials", "ab5-trials", "deep-ordinal", "deep-term",
@@ -544,7 +557,7 @@ def _argv_file(tmp_path, arg) -> str:
         "term-eval-unbound-variable", "limterm-eval-finitary-free",
         "check-limterm-free", "ordinal-sum-too-many-digits",
         "free-sum-too-deep", "ab5-ring-10^8",
-        "ab5-ring-3*10^6", "ordinal-points-10^8"])
+        "ab5-ring-3*10^6", "ordinal-points-10^8", "sumterm-points-10^7"])
 def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):
     argv = [_argv_file(tmp_path, a) for a in argv]
     start = time.perf_counter()

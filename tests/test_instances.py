@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import (battery_modules, lengthy_pieces, point_by_point_sum,
-                      random_pwc_over)
+from conftest import (battery_modules, battery_or_submodules, lengthy_pieces,
+                      point_by_point_sum, random_pwc_over)
 
 from translim import (
     OMEGA,
@@ -226,6 +226,15 @@ def test_finite_mod_group_laws(m, data):
     s = data.draw(st.integers(0, m.modulus))
     assert m.scal(r, m.scal(s, a)) == m.scal((r * s) % m.modulus, a)
     assert m.scal(r, m.add(a, b)) == m.add(m.scal(r, a), m.scal(r, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(battery_or_submodules())
+def test_subtraction_is_adding_the_negative(module):
+    elems = module.elements()
+    for a in elems:
+        for b in elems:
+            assert module.sub(a, b) == module.add(a, module.neg(b))
 
 
 def test_infinitary_sum_partiality():

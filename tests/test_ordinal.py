@@ -300,6 +300,29 @@ def test_interval_cardinality():
     assert interval_cardinality(OMEGA, parse_ordinal("w*2")) is None
 
 
+def _shared_limit_part(a, m, n):
+    """a's limit part plus m, and plus n: a pair inside one limit part."""
+    lim_part, _ = split_finite(a)
+    return lim_part + from_int(m), lim_part + from_int(n)
+
+
+@given(st.one_of(
+    st.tuples(ordinals(), ordinals()),
+    st.builds(_shared_limit_part, ordinals(), st.integers(0, 10 ** 9),
+              st.integers(0, 10 ** 9))))
+def test_interval_cardinality_matches_left_subtraction(pair):
+    b, e = pair
+    try:
+        d = left_subtract(b, e)
+    except OrdinalUnderflowError as exc:
+        with pytest.raises(OrdinalUnderflowError) as info:
+            interval_cardinality(b, e)
+        assert str(info.value) == str(exc)
+        return
+    assert interval_cardinality(b, e) == (d.to_int() if d.is_finite
+                                          else None)
+
+
 
 def test_split_finite_examples():
     assert split_finite(ZERO) == (ZERO, 0)

@@ -35,6 +35,7 @@ from translim import (
     check_constants_fixed,
     check_prefix_independence,
     evaluate,
+    format_ordinal,
     from_int,
     left_subtract,
     lim_eval,
@@ -86,6 +87,12 @@ def test_lim_eval_successor_is_last_entry():
     fam = _seq(Z6, [(0, OMEGA, (1,)), (OMEGA, OMEGA + from_int(2), (5,))])
     assert lim_eval(Z6, fam) == (5,)
     assert lim_eval(Z6, fam) == fam.value_at(fam.length.predecessor())
+
+
+def test_lim_value_of_the_empty_family_is_zero():
+    assert lim_value(Z4, PwcSeq.empty()) == (0,)
+    free = FreeSymbolic(AdditiveTheory(2), OMEGA)
+    assert lim_value(free, PwcSeq.empty()) == ZERO_TERM
 
 
 # -- summation through the recursion -------------------------------------------------
@@ -218,6 +225,57 @@ def test_piecewise_peeling_matches_point_by_point(module, data):
             == module.infinitary_sum(fam))
 
 
+_LIMIT_ANCHORS = [parse_ordinal(t) for t in ("0", "w", "w*2", "w^2")]
+
+
+@st.composite
+def runs_in_the_limit_part(draw, module):
+    """Families on L + t: after one or two limit points below L a nonzero
+    run of 2 or 3 points, zero up to the next one, then t arbitrary
+    points.  The infinite stretch from the last run up to L is zero or,
+    so that the sum diverges, nonzero."""
+    lim_part = draw(st.sampled_from(
+        [parse_ordinal(t) for t in ("w", "w*2", "w^2", "w^2+w")]))
+    anchors = sorted(draw(st.sets(
+        st.sampled_from([a for a in _LIMIT_ANCHORS if a < lim_part]),
+        min_size=1, max_size=2)))
+    zero = module.zero()
+    nonzero = st.sampled_from([x for x in module.elements() if x != zero])
+    pieces = []
+    at = ZERO
+    for anchor in anchors:
+        lo = anchor + from_int(draw(st.integers(0, 3)))
+        hi = lo + from_int(draw(st.integers(2, 3)))
+        pieces += [(at, lo, zero), (lo, hi, draw(nonzero))]
+        at = hi
+    last = draw(nonzero) if draw(st.booleans()) else zero
+    pieces.append((at, lim_part, last))
+    for i in range(draw(st.integers(0, 3))):
+        lo = lim_part + from_int(i)
+        pieces.append((lo, lo + ONE, draw(st.sampled_from(module.elements()))))
+    return PwcSeq.from_pieces([p for p in pieces if p[0] < p[1]])
+
+
+@pytest.mark.parametrize("module", standard_battery(), ids=_case_id)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_runs_inside_a_limit_part_sum_alike_on_every_route(module, data):
+    fam = data.draw(runs_in_the_limit_part(module))
+    try:
+        expected = _reference_sum(module, fam)
+    except DivergentSumError:
+        lim_part, _ = split_finite(fam.length)
+        with pytest.raises(DivergentSumError) as info:
+            sum_eval_from_lim(module, fam)
+        assert str(info.value) == (f"family over {format_ordinal(lim_part)} "
+                                   "has infinite nonzero part")
+        with pytest.raises(DivergentSumError):
+            module.infinitary_sum(fam)
+        return
+    assert (sum_eval_from_lim(module, fam) == expected
+            == module.infinitary_sum(fam))
+
+
 def test_free_module_terms_match_the_references():
     free = FreeSymbolic(AdditiveTheory(2), OMEGA)
     w_plus = OMEGA + from_int(3)
@@ -279,6 +337,56 @@ def test_sum_peeling_follows_pieces_not_coefficients(monkeypatch, alpha_text,
     got = sum_eval_from_lim(module, fam)
     assert len(prefixes) <= 1 and lookups == []
     assert got == ((n * v[0]) % module.shape[0],)
+
+
+def _coefficient_family(c, shape):
+    """A family over Z/6 whose zero and infinite pieces carry c, with
+    three nonzero one-point pieces below its limit part w*3c.  `shape`
+    picks the length: "finite" (no limit part, 2c+1), "limit" (w*3c),
+    "successor" (w*3c+2c+1, c+1 of its points nonzero) or "overhang"
+    (w*3c+c, the last zero piece infinite)."""
+    if shape == "finite":
+        return PwcSeq.from_pieces([
+            (ZERO, from_int(c), (5,)),
+            (from_int(c), from_int(2 * c), (0,)),
+            (from_int(2 * c), from_int(2 * c + 1), (1,))])
+    pieces = []
+    at = ZERO
+    for i, v in enumerate(((1,), (2,), (5,))):
+        lo = parse_ordinal(f"w*{c * i}+{c}") if i else from_int(c)
+        pieces += [(at, lo, (0,)), (lo, lo + ONE, v)]
+        at = lo + ONE
+    lim_part = parse_ordinal(f"w*{3 * c}")
+    if shape == "overhang":
+        return PwcSeq.from_pieces(pieces + [
+            (at, lim_part + from_int(c), (0,))])
+    pieces.append((at, lim_part, (0,)))
+    if shape == "successor":
+        tail = [(0, c, (4,)), (c, 2 * c, (0,)), (2 * c, 2 * c + 1, (3,))]
+        pieces += [(lim_part + from_int(lo), lim_part + from_int(hi), v)
+                   for lo, hi, v in tail]
+    return PwcSeq.from_pieces(pieces)
+
+
+@pytest.mark.parametrize("shape",
+                         ["finite", "limit", "successor", "overhang"])
+def test_sum_through_limits_works_per_piece(monkeypatch, module_ops, shape):
+    # the same module operations whatever the coefficients; the pieces
+    # are read once, with no prefix and no point listing of the family
+    families = [_coefficient_family(c, shape) for c in (3, 10 ** 9)]
+    expected = [Z6.infinitary_sum(fam) for fam in families]
+    calls = {name: _count_calls(monkeypatch, PwcSeq, name)
+             for name in ("prefix", "from_pieces", "support_if_finite")}
+    lims = _count_calls(monkeypatch, transfinite, "lim_eval")
+    ops = []
+    for fam, want in zip(families, expected):
+        before = module_ops[0]
+        assert transfinite.sum_eval_from_lim(Z6, fam) == want
+        ops.append(module_ops[0] - before)
+    assert ops[0] == ops[1] <= 2 * len(families[0].values)
+    assert calls == {"prefix": [], "from_pieces": [],
+                     "support_if_finite": []}
+    assert len(lims) == (0 if shape == "finite" else len(families))
 
 
 def _summed_lim_eval(module, fam):
