@@ -413,7 +413,8 @@ def retract_product_element(system: InverseSystem, coord, bound: int,
     The value is the limit of the pushdowns of the coordinates above gamma,
     evaluated with the difference-and-sum recursion.  Each level from gamma
     to the last one is a piece of length 1, except that over omega the
-    last piece, at the first level past `bound`, runs to omega.
+    last piece, at the first level past `bound`, runs to omega.  The
+    pieces tile [0, end) by construction.
     """
     if system.index == OMEGA:
         last = max(bound, gamma) + 1
@@ -425,7 +426,7 @@ def retract_product_element(system: InverseSystem, coord, bound: int,
                from_int(j - gamma + 1) if j < last else end,
                system.push_down(coord(j), j, gamma))
               for j in range(gamma, last + 1)]
-    return lim_eval(system.level(gamma), PwcSeq.from_pieces(pieces))
+    return lim_eval(system.level(gamma), PwcSeq._from_pieces(end, pieces))
 
 
 def lim_to_prod_section_check(system: InverseSystem, *, trials: int = 20,

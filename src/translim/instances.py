@@ -23,8 +23,10 @@ a Submodule carrier on every pair; images of maps and limit carriers hold by
 construction and carry a generating set.  A rejection names its witness.
 
 Tables that hold by construction are built without a module operation per
-element: a linear extension as one integer list per codomain coordinate, the
-identity, zero and inclusion tables with dict(zip(...)) and dict.fromkeys.
+element: a linear extension, or the identity or zero map out of a FiniteMod,
+as one integer list per codomain coordinate when the table is first read;
+other identity, zero and inclusion tables with dict(zip(...)) and
+dict.fromkeys.
 """
 
 from __future__ import annotations
@@ -144,8 +146,12 @@ class FiniteMod(ModuleInstance):
     def scal(self, r, a):
         return tuple([(r * x) % m for x, m in zip(a, self.shape)])
 
-    def elements(self):
+    def _check_size(self):
+        """Refuse a carrier past the enumeration limit."""
         check_enumeration(self.size, lambda: f"the carrier of {self.literal}")
+
+    def elements(self):
+        self._check_size()
         return list(itertools.product(*map(range, self.shape)))
 
     def contains(self, x):
@@ -341,9 +347,13 @@ class Homomorphism:
     additive, and an additive map of Z/n-modules keeps negation and scalars.
     A domain without a finite carrier raises InfiniteCarrierError.  Tables
     that hold by construction skip the check with _checked=True.
+
+    A linear extension, and the identity and zero map out of a FiniteMod,
+    keep their generator images: every check runs at construction, and the
+    table is folded from the images the first time it is read.
     """
 
-    __slots__ = ("domain", "codomain", "table")
+    __slots__ = ("domain", "codomain", "_table", "_images")
 
     def __init__(self, domain, codomain, table, _checked=False):
         if domain.theory != codomain.theory:
@@ -352,9 +362,24 @@ class Homomorphism:
                 f"codomain over {codomain.theory.literal}")
         self.domain = domain
         self.codomain = codomain
-        self.table = table
+        self._table = table  # None: folded from _images on first read
         if not _checked:
             self._verify()
+
+    @property
+    def table(self) -> dict:
+        table = self._table
+        if table is None:
+            table = self._table = _linear_table(self.domain, self.codomain,
+                                                self._images)
+        return table
+
+    @staticmethod
+    def _linear(domain: FiniteMod, codomain, images):
+        """The linear extension of e_i -> images[i], unchecked and unbuilt."""
+        hom = Homomorphism(domain, codomain, None, _checked=True)
+        hom._images = images
+        return hom
 
     def _verify(self):
         dom, cod, f = self.domain, self.codomain, self.table
@@ -387,44 +412,32 @@ class Homomorphism:
 
     @staticmethod
     def from_generator_images(domain: FiniteMod, codomain, images):
-        """Linear extension of e_i -> images[i], built one codomain
-        coordinate at a time.  It is a map exactly when each image, reduced
-        into the codomain, lies there and is killed by the order of e_i, so
-        only that is checked, before anything is built."""
+        """Linear extension of e_i -> images[i].  It is a map exactly when
+        each image, reduced into the codomain, lies there and is killed by
+        the order of e_i, so only that is checked, with the size of the
+        table, before anything is built."""
         if len(images) != len(domain.shape):
             raise HomomorphismValidationError(
                 f"need {len(domain.shape)} generator images")
         # e_i = 0 in a Z/1 component, so its image is read as 0
         images = [codomain.scal(1 % m, g) for m, g in zip(domain.shape, images)]
-        # the theories are checked before the images, the table comes last
-        hom = Homomorphism(domain, codomain, {}, _checked=True)
+        # the theories are checked before the images, the size last
+        hom = Homomorphism._linear(domain, codomain, images)
         zero = codomain.zero()
         for e, m, g in zip(domain.generators(), domain.shape, images):
             if not codomain.contains(g) or codomain.scal(m, g) != zero:
                 raise HomomorphismValidationError(
                     f"{e!r} -> {g!r} does not extend: the image is outside "
                     f"the codomain or not killed by {m}", e)
-        # coordinate j of the image of x is sum_i x_i * images[i][j] mod the
-        # j-th order, one list in elements() order per j; a free codomain
-        # fails every order condition, so it gets here from a rank-0 domain
-        orders = _underlying(codomain).shape if codomain.is_finite else ()
         check_enumeration(domain.size,
                           lambda: f"a map out of {domain.literal}")
-        columns = []
-        for j, n in enumerate(orders):
-            col = [0]
-            for m, g in zip(domain.shape, images):
-                gj = g[j]
-                col = [(v + c * gj) % n for v in col for c in range(m)]
-            columns.append(col)
-        # zip builds each value tuple at its final size (see FiniteMod.add)
-        values = zip(*columns) if columns else itertools.repeat(zero)
-        hom.table = dict(zip(itertools.product(*map(range, domain.shape)),
-                             values))
         return hom
 
     @staticmethod
     def identity(module):
+        if isinstance(module, FiniteMod):
+            module._check_size()
+            return Homomorphism._linear(module, module, module.generators())
         elems = module.elements()
         return Homomorphism(module, module, dict(zip(elems, elems)),
                             _checked=True)
@@ -432,6 +445,10 @@ class Homomorphism:
     @staticmethod
     def zero_map(domain, codomain):
         z = codomain.zero()
+        if isinstance(domain, FiniteMod):
+            domain._check_size()
+            return Homomorphism._linear(domain, codomain,
+                                        [z] * len(domain.shape))
         return Homomorphism(domain, codomain,
                             dict.fromkeys(domain.elements(), z), _checked=True)
 
@@ -478,6 +495,25 @@ def is_regular_epi(f: Homomorphism) -> bool:
     Every value lies in the codomain, so the map is onto exactly when it
     takes as many values as the codomain has elements."""
     return len(set(f.table.values())) == f.codomain.size
+
+
+def _linear_table(domain: FiniteMod, codomain, images) -> dict:
+    """The table of the linear extension of e_i -> images[i], built one
+    codomain coordinate at a time: coordinate j of the image of x is
+    sum_i x_i * images[i][j] mod the j-th order, one list in elements()
+    order per j.  A free codomain has no orders, so every value is its
+    zero, which is the image of every generator that gets here."""
+    orders = _underlying(codomain).shape if codomain.is_finite else ()
+    columns = []
+    for j, n in enumerate(orders):
+        col = [0]
+        for m, g in zip(domain.shape, images):
+            gj = g[j]
+            col = [(v + c * gj) % n for v in col for c in range(m)]
+        columns.append(col)
+    # zip builds each value tuple at its final size (see FiniteMod.add)
+    values = zip(*columns) if columns else itertools.repeat(codomain.zero())
+    return dict(zip(itertools.product(*map(range, domain.shape)), values))
 
 
 def _underlying(module):

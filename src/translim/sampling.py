@@ -3,7 +3,10 @@
 Everything takes an explicit random.Random so runs are reproducible from a
 seed.  Breakpoints are drawn from the structural grid sample_points_below,
 which keeps random families honest about where a piecewise-constant family
-over a transfinite index can actually change.
+over a transfinite index can actually change.  Families are drawn straight
+into their pieces, which tile by construction: grid points are distinct and
+lie in [1, alpha).  The grid is read as its cached tuple, which random's
+sample and choice index as they would a list.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .instances import FiniteMod, Homomorphism
-from .ordinal import OMEGA, ZERO, Ordinal, left_subtract, sample_points_below
+from .ordinal import OMEGA, ZERO, Ordinal, _sample_grid, left_subtract
 from .pwcseq import PwcSeq
 
 
@@ -28,45 +31,51 @@ def random_element(rng, module):
     return tuple(reversed(digits))
 
 
-def random_breakpoints(rng, alpha: Ordinal) -> list:
-    """At most three grid points below alpha, sorted."""
-    grid = sample_points_below(alpha)
-    if not grid:
-        return []
-    k = rng.randint(0, min(3, len(grid)))
-    return sorted(rng.sample(grid, k))
+def _random_pieces(rng, module, lo: Ordinal, hi: Ordinal) -> list:
+    """Pieces of a random family on [lo, hi), lo < hi: at most three points
+    of the grid below hi - lo, shifted by lo, as breakpoints, and one
+    random element per piece."""
+    grid = _sample_grid(left_subtract(lo, hi))
+    bounds = [lo]
+    if grid:
+        k = rng.randint(0, min(3, len(grid)))
+        bounds += [lo + p for p in sorted(rng.sample(grid, k))]
+    bounds.append(hi)
+    return [(a, b, random_element(rng, module))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def random_pwc(rng, module, alpha: Ordinal) -> PwcSeq:
     """Random piecewise-constant family of module elements on [0, alpha)."""
     if alpha.is_zero:
         return PwcSeq.empty()
-    bounds = [ZERO] + random_breakpoints(rng, alpha) + [alpha]
-    pieces = [(lo, hi, random_element(rng, module))
-              for lo, hi in zip(bounds, bounds[1:])]
-    return PwcSeq.from_pieces(pieces)
+    return PwcSeq._from_pieces(alpha,
+                               _random_pieces(rng, module, ZERO, alpha))
 
 
 def random_tail_agreeing_pair(rng, module, alpha: Ordinal):
     """Two assignments on [0, alpha) differing only below some beta < alpha.
 
     Returns (a, b, beta).  When alpha == 1 the only final segment is the
-    whole interval, so the pair is equal and beta is 0.
+    whole interval, so the pair is equal and beta is 0.  The shared tail
+    on [beta, alpha) is drawn first, then the prefix of a, then that of b.
     """
-    grid = sample_points_below(alpha)
+    grid = _sample_grid(alpha)
     if not grid:
         a = random_pwc(rng, module, alpha)
         return a, a, ZERO
     beta = rng.choice(grid)
-    tail = random_pwc(rng, module, left_subtract(beta, alpha))
-    a = random_pwc(rng, module, beta).concat(tail)
-    b = random_pwc(rng, module, beta).concat(tail)
+    tail = _random_pieces(rng, module, beta, alpha)
+    a = PwcSeq._from_pieces(
+        alpha, _random_pieces(rng, module, ZERO, beta) + tail)
+    b = PwcSeq._from_pieces(
+        alpha, _random_pieces(rng, module, ZERO, beta) + tail)
     return a, b, beta
 
 
 def random_support_family(rng, module, alpha: Ordinal) -> PwcSeq:
     """Random family that vanishes off at most three grid positions."""
-    grid = [ZERO] + sample_points_below(alpha) if not alpha.is_zero else []
+    grid = (ZERO,) + _sample_grid(alpha) if not alpha.is_zero else ()
     k = rng.randint(0, min(3, len(grid)))
     entries = [(p, random_element(rng, module)) for p in rng.sample(grid, k)]
     return PwcSeq.from_support(entries, alpha, module.zero())

@@ -258,8 +258,11 @@ def evaluate(term, module, assignment: PwcSeq, *, _bound=_NO_BOUND):
 
     Var reads the assignment, App applies the module operation, Sum feeds the
     pointwise-evaluated family to the module's partial infinitary sum, and
-    Lim takes the telescoped value of the evaluated family (its final
-    interval's value; the zero element for length 0).
+    Lim takes the telescoped value of the evaluated family: its final
+    interval's value, the zero element for length 0.  A Lim node evaluates
+    every piece, in order, but builds no PwcSeq.  A final value that names
+    its position (a free module's placeholder) is the variable at the last
+    position of a successor length; a limit length has no last position.
     """
     tt = type(term)
     if tt is Var:
@@ -282,16 +285,30 @@ def evaluate(term, module, assignment: PwcSeq, *, _bound=_NO_BOUND):
         raise TheoryMismatchError(
             f"{'Sum' if tt is Sum else 'Lim'} node needs an infinitary "
             f"additive theory, module has {module.theory.literal}")
-    fam = eval_family(term.family, module, assignment)
     if tt is Sum:
-        return module.infinitary_sum(fam)
-    if fam.length.is_zero:
-        return module.zero()
-    return fam.values[-1]
+        return module.infinitary_sum(
+            eval_family(term.family, module, assignment))
+    pieces = _eval_pieces(term.family, module, assignment)
+    value = pieces[-1][2] if pieces else module.zero()
+    if mentions_index(value):
+        if not term.length.is_successor:
+            raise UnboundVariableError(
+                f"the final value of a limit over "
+                f"{format_ordinal(term.length)} names its position, but "
+                f"{format_ordinal(term.length)} has no last position")
+        return replace_index(value, Var(term.length.predecessor()))
+    return value
 
 
 def eval_family(fam: PwcSeq, module, assignment: PwcSeq) -> PwcSeq:
     """Pointwise evaluation of a family of terms to a family of elements."""
+    return PwcSeq._from_pieces(fam.length,
+                               _eval_pieces(fam, module, assignment))
+
+
+def _eval_pieces(fam: PwcSeq, module, assignment: PwcSeq) -> list:
+    """The evaluated pieces of fam, in order: a piece whose term names its
+    position is split at the assignment's breakpoints."""
     pieces = []
     for lo, hi, t in fam.pieces():
         if mentions_index(t):
@@ -304,7 +321,7 @@ def eval_family(fam: PwcSeq, module, assignment: PwcSeq) -> PwcSeq:
                                evaluate(t, module, assignment, _bound=bound)))
         else:
             pieces.append((lo, hi, evaluate(t, module, assignment)))
-    return PwcSeq._from_pieces(fam.length, pieces)
+    return pieces
 
 
 def check_term(theory, term, variable_limit: Ordinal | None = None):

@@ -72,6 +72,7 @@ from .terms import (
     check_term,
     evaluate,
     format_term,
+    mentions_index,
     variable_ceiling,
 )
 
@@ -101,28 +102,42 @@ def lim_eval(module, fam: PwcSeq):
         if d != zero:
             running = module.add(running, d)
         if running != v and lo + ONE < hi:
-            fmt = module.format_element
-            raise TranslimError(
-                f"limit recursion: piece [{format_ordinal(lo)},"
-                f"{format_ordinal(hi)}) -> {fmt(v)} has a nonzero "
-                f"difference past its start (running limit {fmt(running)})")
+            _raise_interior(module, lo, hi, v, running)
     return running
 
 
 def _formal_lim(module, fam: PwcSeq):
-    """lim_eval over a free module: the formal sum of the differences."""
+    """lim_eval over a free module: the formal sum of the differences.
+
+    A value that names its position (the placeholder) differs from point
+    to point, so on a piece of more than one point it leaves a nonzero
+    difference past the piece start, which raises as in lim_eval.
+    """
     zero = module.zero()
     support = []
     running = zero
-    for lo, _, v in fam.pieces():
+    for lo, hi, v in fam.pieces():
         if not lo.is_zero:
             running = module.infinitary_sum(
                 PwcSeq.from_support(support, lo, zero))
         d = module.sub(v, running)
         if d != zero:
             support.append((lo, d))
+        if mentions_index(v) and lo + ONE < hi:
+            _raise_interior(module, lo, hi, v, module.infinitary_sum(
+                PwcSeq.from_support(support, lo + ONE, zero)))
     return module.infinitary_sum(
         PwcSeq.from_support(support, fam.length, zero))
+
+
+def _raise_interior(module, lo, hi, v, running):
+    """Refuse the piece [lo, hi) -> v, whose running limit past its start
+    is not v."""
+    fmt = module.format_element
+    raise TranslimError(
+        f"limit recursion: piece [{format_ordinal(lo)},"
+        f"{format_ordinal(hi)}) -> {fmt(v)} has a nonzero "
+        f"difference past its start (running limit {fmt(running)})")
 
 
 def lim_value(module, fam: PwcSeq):

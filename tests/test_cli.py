@@ -99,6 +99,29 @@ def test_limterm_eval_example(capsys):
     assert (code, out, err) == (0, "1\n", "")
 
 
+def test_a_limit_over_a_free_module_names_the_last_variable(capsys):
+    # the final value idx names its position, which at length 5 is x4
+    for module in ("free(add-inf mod 2, 5)", "free(add-inf mod 2, w)"):
+        code, out, err = run_cli(capsys, "term", "eval", "(lim 5 [0,5)->idx)",
+                                 "--module", module, "--seq", "[0,5)->idx")
+        assert (code, out, err) == (0, "x4\n", "")
+
+
+@pytest.mark.parametrize("alpha", ["5", "w"])
+def test_limterm_eval_fails_on_a_placeholder_piece_of_several_points(
+        capsys, alpha):
+    # x0, x1, ... differ from point to point, so the recursion's piece
+    # has a nonzero difference past its start
+    code, out, err = run_cli(capsys, "limterm", "eval", "--alpha", alpha,
+                             "--module", "free(add-inf mod 2, w)",
+                             "--seq", f"[0,{alpha})->idx")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"check failed: TranslimError: limit recursion: piece [0,{alpha}) "
+        "-> idx has a nonzero difference past its start (running limit "
+        "(sum 1 [0,1)->(+ idx (- zero))))\n")
+
+
 def test_limterm_build_golden(capsys):
     code, out, _ = run_cli(capsys, "limterm", "build", "--alpha", "w+2")
     assert code == 0
@@ -518,6 +541,11 @@ def _argv_file(tmp_path, arg) -> str:
      "UnboundVariableError: variable xw outside declared set of size w"),
     (("term", "eval", "(+ x0 x5)", "--module", "Z/2", "--seq", "[0,3)->1"),
      "UnboundVariableError: variable x5 not covered by the assignment"),
+    # a limit over a limit length has no last position for idx to name
+    (("term", "eval", "(lim w [0,w)->idx)", "--module",
+      "free(add-inf mod 2, w)", "--seq", "[0,w)->idx"),
+     "UnboundVariableError: the final value of a limit over w names its "
+     "position, but w has no last position"),
     # a module that the command cannot run on
     (("limterm", "eval", "--alpha", "w", "--module",
       "free(add-fin mod 2, w)", "--seq", "[0,w)->x0"),
@@ -554,7 +582,8 @@ def _argv_file(tmp_path, arg) -> str:
         "ordinal-too-many-digits", "scal-too-many-digits",
         "term-parse-unknown-op", "term-eval-unknown-op",
         "refute-unknown-op", "refute-unbound-variable",
-        "term-eval-unbound-variable", "limterm-eval-finitary-free",
+        "term-eval-unbound-variable", "term-eval-free-lim-placeholder",
+        "limterm-eval-finitary-free",
         "check-limterm-free", "ordinal-sum-too-many-digits",
         "free-sum-too-deep", "ab5-ring-10^8",
         "ab5-ring-3*10^6", "ordinal-points-10^8", "sumterm-points-10^7"])

@@ -1,5 +1,6 @@
 """Module instances, homomorphism verification, and instance literals."""
 
+import itertools
 import math
 import random
 
@@ -40,7 +41,10 @@ from translim import (
     var,
     zero_module,
 )
-from translim.errors import HomomorphismValidationError, ModuleValidationError
+from translim import instances
+from translim.diagrams import InverseSystem
+from translim.errors import (ENUMERATION_LIMIT, HomomorphismValidationError,
+                             ModuleValidationError)
 from translim.sampling import (random_hom, random_surjective_system_morphism,
                                random_system)
 
@@ -569,6 +573,94 @@ def test_from_generator_images_is_linear_in_the_carrier(monkeypatch, shape):
     assert level.size == 256
     # the checks make a few operations per generator; the build makes none
     assert ops[0] <= 4 * len(shape)
+
+
+def eager_linear_table(domain, codomain, images):
+    """The table from_generator_images built at construction before maps
+    kept their generator images: one list per codomain coordinate."""
+    images = [codomain.scal(1 % m, g) for m, g in zip(domain.shape, images)]
+    orders = _parent(codomain).shape if codomain.is_finite else ()
+    columns = []
+    for j, n in enumerate(orders):
+        col = [0]
+        for m, g in zip(domain.shape, images):
+            col = [(v + c * g[j]) % n for v in col for c in range(m)]
+        columns.append(col)
+    values = (zip(*columns) if columns
+              else itertools.repeat(codomain.zero()))
+    return dict(zip(itertools.product(*map(range, domain.shape)), values))
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """A one-item list counting the tables folded from generator images."""
+    count = [0]
+    fold = instances._linear_table
+
+    def counted(*args):
+        count[0] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(instances, "_linear_table", counted)
+    return count
+
+
+def test_a_linear_extension_builds_its_table_on_first_read(tables_built):
+    built = 0
+    for read in (lambda f: f((1, 3)), lambda f: f.table, lambda f: f == f,
+                 lambda f: f.after(f)):
+        maps = (Homomorphism.from_generator_images(Z2xZ4, Z2xZ4,
+                                                   [(1, 0), (0, 2)]),
+                Homomorphism.identity(Z2xZ4),
+                Homomorphism.zero_map(Z2xZ4, Z2xZ4))
+        assert tables_built == [built]
+        for f in maps:
+            read(f)
+            read(f)
+        built += len(maps)
+        assert tables_built == [built]  # once per map, on its first read
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 32))
+def test_lazy_tables_equal_the_eager_build_on_random_homs(modulus, seed):
+    drawn = []
+    build = Homomorphism.from_generator_images
+
+    def recorded(domain, codomain, images):
+        drawn.append((build(domain, codomain, images), images))
+        return drawn[-1][0]
+
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Homomorphism, "from_generator_images",
+                      staticmethod(recorded))
+        _sampled_maps(rng, modulus)
+    for f, images in drawn:
+        assert list(f.table.items()) == list(
+            eager_linear_table(f.domain, f.codomain, images).items())
+
+
+def test_maps_out_of_a_carrier_past_the_limit_are_refused_at_once(
+        tables_built):
+    big = FiniteMod(ENUMERATION_LIMIT * 2, (ENUMERATION_LIMIT * 2,))
+    two = FiniteMod(big.modulus, (2,))
+    with pytest.raises(ResourceLimitError, match="a map out of Z/2097152"):
+        Homomorphism.from_generator_images(big, two, [(1,)])
+    for build in (lambda: Homomorphism.identity(big),
+                  lambda: Homomorphism.zero_map(big, two)):
+        with pytest.raises(ResourceLimitError,
+                           match="the carrier of Z/2097152"):
+            build()
+    assert tables_built == [0]
+
+
+def test_a_constant_tail_system_builds_no_identity_table(tables_built):
+    system = InverseSystem(OMEGA, (Z2xZ4, Z2xZ4), (
+        Homomorphism.from_function(Z2xZ4, Z2xZ4, lambda x: x),), "constant")
+    assert tables_built == [0]
+    assert system.push_down((1, 3), 5, 0) == (1, 3)
+    assert tables_built == [1]
 
 
 def test_from_generator_images_into_a_free_module():

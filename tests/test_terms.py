@@ -22,6 +22,7 @@ from translim import (
     PwcSeq,
     Sum,
     TheoryMismatchError,
+    TranslimError,
     UnboundVariableError,
     Var,
     basis_family,
@@ -392,6 +393,79 @@ def test_evaluate_respects_substitution(module, triple, data):
         return
     lhs = _eval_or_divergence(substitute(t, sigma), module, a)
     assert lhs == _eval_or_divergence(t, module, composed)
+
+
+# -- a Lim node reads its last piece ----------------------------------------------
+
+
+def reference_lim(term, module, assignment):
+    """The Lim branch as it was: the whole evaluated family, then its
+    final value (zero on length 0)."""
+    fam = eval_family(term.family, module, assignment)
+    return module.zero() if fam.length.is_zero else fam.values[-1]
+
+
+def _value_or_error(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except TranslimError as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(battery_modules, TERM_ALPHAS, st.data())
+def test_lim_node_takes_the_last_value_of_the_evaluated_family(
+        module, alpha, data):
+    points = sample_points_below(alpha) + [alpha]
+    length = data.draw(st.sampled_from(points))
+    term = Lim(length, data.draw(term_families(alpha, length, 2)))
+    # a shorter assignment leaves some variables unbound, nested sums may
+    # diverge: the same first error must come out of the same piece
+    a = data.draw(element_families(module, data.draw(st.sampled_from(points))))
+    assert (_value_or_error(evaluate, term, module, a)
+            == _value_or_error(reference_lim, term, module, a))
+
+
+def test_lim_node_raises_an_error_in_a_non_final_piece():
+    two = from_int(2)
+    a = PwcSeq.constant((1,), OMEGA)
+    unbound = Lim(two, PwcSeq.from_tuple((var(OMEGA + from_int(5)), var(0))))
+    with pytest.raises(UnboundVariableError, match="xw\\+5 not covered"):
+        evaluate(unbound, Z4, a)
+    divergent = Lim(two, PwcSeq.from_tuple((sum_term(OMEGA), var(0))))
+    with pytest.raises(DivergentSumError):
+        evaluate(divergent, Z4, a)
+
+
+def test_lim_node_builds_no_family(monkeypatch):
+    term = parse_term("(lim w+2 [0,3)->idx [3,w)->(+ x0 (lim w [0,w)->idx)) "
+                      "[w,w+2)->(scal 3 idx))")
+    a = PwcSeq.from_pieces([(ZERO, from_int(2), (1,)),
+                            (from_int(2), W2, (2,))])
+    built = []
+    from_pieces = PwcSeq._from_pieces
+
+    def counted(length, pieces):
+        built.append(length)
+        return from_pieces(length, pieces)
+
+    monkeypatch.setattr(PwcSeq, "_from_pieces", staticmethod(counted))
+    assert evaluate(term, Z4, a) == (2,)
+    assert built == []
+
+
+def test_lim_node_names_the_variable_at_its_last_position():
+    free = FreeSymbolic(TH2, OMEGA)
+    five = from_int(5)
+    assert evaluate(Lim(five, basis_family(five)), free,
+                    basis_family(five)) == var(4)
+    assert evaluate(parse_term("(lim 3 [0,3)->(+ idx x0))"), free,
+                    basis_family(five)) == App("+", (var(2), var(0)))
+    assert evaluate(Lim(W2, basis_family(W2)), free,
+                    basis_family(W2)) == var(OMEGA + from_int(1))
+    # a limit length has no last position
+    with pytest.raises(UnboundVariableError, match="w has no last position"):
+        evaluate(Lim(OMEGA, basis_family(OMEGA)), free, basis_family(OMEGA))
 
 
 def test_mentions_index_stops_at_nested_families():

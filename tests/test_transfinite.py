@@ -11,6 +11,7 @@ from conftest import (lengthy_pieces, ordinals, point_by_point_sum,
                       pwc_over, random_pwc_over, terms_over)
 
 from translim import (
+    INDEX,
     OMEGA,
     ONE,
     ZERO,
@@ -284,6 +285,24 @@ def test_free_module_terms_match_the_references():
     fam = _seq(free, [(0, 1, var(0)), (1, OMEGA, ZERO_TERM),
                       (OMEGA, w_plus, var(1))])
     assert sum_eval_from_lim(free, fam) == _reference_sum(free, fam)
+
+
+def test_free_module_limit_refuses_a_placeholder_on_several_points():
+    # idx names x_g at each point g, so a piece of several points is not
+    # constant and leaves a nonzero difference past its start
+    free = FreeSymbolic(AdditiveTheory(2), OMEGA)
+    for length in ("5", "w", "w+2"):
+        fam = _seq(free, [(0, 2, var(1)), (2, parse_ordinal(length), INDEX)])
+        with pytest.raises(TranslimError) as info:
+            lim_eval(free, fam)
+        assert str(info.value) == (
+            f"limit recursion: piece [2,{length}) -> idx has a nonzero "
+            "difference past its start (running limit (sum 3 [0,1)->(+ x1 "
+            "(- zero)) [1,2)->zero [2,3)->(+ idx (- (sum 2 [0,1)->(+ x1 "
+            "(- zero)) [1,2)->zero)))))")
+    # a placeholder on one point names one variable, as the recursion does
+    fam = _seq(free, [(0, 1, INDEX), (1, 3, var(5)), (3, 4, INDEX)])
+    assert lim_eval(free, fam) == _reference_lim_eval(free, fam)
 
 
 def test_free_module_sum_refuses_a_nesting_past_the_recursion_limit():
