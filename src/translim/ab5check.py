@@ -24,7 +24,7 @@ from .diagrams import InverseSystem, lim_to_prod_section_check
 from .errors import InvalidAlphaError, TranslimError
 from .instances import FiniteMod, Homomorphism
 from .ordinal import OMEGA, ZERO, Ordinal, format_ordinal, from_int, \
-    sample_points_below
+    interval_cardinality, sample_points_below
 from .pwcseq import PwcSeq, format_pwc
 from .sampling import random_support_family
 from .terms import (
@@ -90,16 +90,17 @@ def eta_surjective_decision(modulus: int, index: Ordinal) -> EtaVerdict:
             "support_bound": index.to_int(),
         })
     mod = FiniteMod(modulus, (modulus,))
-    one = (1,)
+    one, zero = (1,), mod.zero()
     growth = []
     for m in range(1, 7):
         fam = PwcSeq.constant(one, from_int(m))
-        support = fam.support_if_finite(mod.zero())
-        if support is None or len(support) != m:
+        support = sum(interval_cardinality(lo, hi)
+                      for lo, hi, v in fam.pieces() if v != zero)
+        if support != m:
             raise TranslimError(
                 f"the constant-one family of length {m} has support "
-                f"{support!r}, not {m} points")
-        growth.append(len(support))
+                f"of {support} points, not {m}")
+        growth.append(support)
     return EtaVerdict(modulus, index, False, {
         "kind": "constant-one-escape",
         "target": format_pwc(PwcSeq.constant(one, index), mod.format_element),

@@ -206,7 +206,7 @@ def limit_object(system: InverseSystem) -> LimitObject:
             f"the endomorphism is not injective on the stabilized image "
             f"({len(current)} elements, {len(lift)} distinct images)")
     # the image of endo^depth is spanned by the images of the generators
-    carrier = Submodule._spanned(top, tuple(sorted(current)), gens, current)
+    carrier = Submodule(top, current, tuple(gens))
     return LimitObject(system, system.height - 1, carrier, depth, lift)
 
 

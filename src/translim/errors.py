@@ -85,12 +85,7 @@ class HomomorphismValidationError(TranslimError):
 
 
 class ModuleValidationError(TranslimError, ValueError):
-    """A modulus, shape or submodule carrier that defines no module or
-    theory; a carrier not closed under + carries the pair as its witness."""
-
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
+    """A modulus or shape that defines no module or theory."""
 
 
 class PositiveVerdictError(TranslimError, ValueError):

@@ -7,7 +7,9 @@ Two concrete kinds plus submodules:
                         elements are int tuples.
   FreeSymbolic(th, X)   the module of formal terms over X; operations build
                         term nodes, nothing is reduced.
-  Submodule(parent, S)  a subset holding zero and closed under +.
+  Submodule(parent, S, gens)
+                        the span S of gens in a finite instance: the image
+                        of a map, or the stable image of a limit.
 
 The infinitary sum is partial everywhere: a family may be summed exactly when
 its nonzero part is finite, and a divergent request raises DivergentSumError
@@ -18,9 +20,10 @@ FreeSymbolic the sum is total as a formal Sum node.
 Each object is checked once, for what its construction leaves open; over
 Z/n negation and scalars are repeated addition, so + is all there is to check.
 A Homomorphism table is checked by f(0) = 0 and f(x + g) = f(x) + f(g) for
-every x and generator g, a linear extension only on its generator images, and
-a Submodule carrier on every pair; images of maps and limit carriers hold by
-construction and carry a generating set.  A rejection names its witness.
+every x and generator g, and a linear extension only on its generator images.
+A Submodule is built only from the span its builder holds, with the
+generators it holds, so nothing is left to check.  A rejection names its
+witness.
 
 Tables that hold by construction are built without a module operation per
 element: a linear extension, or the identity or zero map out of a FiniteMod,
@@ -212,39 +215,19 @@ class FiniteMod(ModuleInstance):
 
 @dataclass(frozen=True)
 class Submodule(ModuleInstance):
-    """A subset of a finite instance holding zero and closed under +, which
-    for a finite subset implies closure under negation and scalars.  A given
-    carrier is checked on every pair and generates itself; _spanned builds
-    one that holds by construction, with a generating set and no check."""
+    """The span of gens in a finite instance: members is its set of
+    elements, which the builder closes under + from zero and gens, and a
+    finite subset so closed is closed under negation and scalars too."""
 
     parent: ModuleInstance
-    carrier: tuple  # sorted tuple of parent elements
-    # the carrier as a set, for contains; derived, so equality, hash and
-    # repr skip it; each constructor passes on the set it builds anyway
-    members: set = field(init=False, repr=False, compare=False)
-    _gens = None  # the generating set of a _spanned submodule; not a field
-
-    @classmethod
-    def _spanned(cls, parent, carrier, gens, members):
-        sub = cls.__new__(cls)
-        object.__setattr__(sub, "_gens", tuple(gens))
-        object.__setattr__(sub, "members", members)
-        sub.__init__(parent, carrier)  # __post_init__ skips the pair check
-        return sub
+    # the value is the sorted carrier, so equality, hash and repr skip the
+    # set and the generating set the builder passes on
+    members: set = field(repr=False, compare=False)
+    gens: tuple = field(repr=False, compare=False)
+    carrier: tuple = field(init=False)  # sorted tuple of parent elements
 
     def __post_init__(self):
-        if self._gens is not None:
-            return  # spanned by construction
-        cs = set(self.carrier)
-        object.__setattr__(self, "members", cs)
-        z = self.parent.zero()
-        if z not in cs:
-            raise ModuleValidationError("submodule must contain zero")
-        for x in self.carrier:
-            for y in self.carrier:
-                if self.parent.add(x, y) not in cs:
-                    raise ModuleValidationError(
-                        f"not closed under + at {x!r}, {y!r}", (x, y))
+        object.__setattr__(self, "carrier", tuple(sorted(self.members)))
 
     @property
     def theory(self):
@@ -274,8 +257,7 @@ class Submodule(ModuleInstance):
         return x in self.members
 
     def generators(self):
-        """The generating set of a spanned submodule, else the carrier."""
-        return self.carrier if self._gens is None else self._gens
+        return self.gens
 
     @property
     def literal(self):
@@ -285,7 +267,10 @@ class Submodule(ModuleInstance):
         return self.parent.format_element(x)
 
     def parse_element(self, text):
-        return self.parent.parse_element(text)
+        x = self.parent.parse_element(text)
+        if x not in self.members:
+            raise ParseError(f"{text.strip()!r} is not in {self.literal}")
+        return x
 
 
 @dataclass(frozen=True)
@@ -481,11 +466,9 @@ class Homomorphism:
 
 def image(f: Homomorphism):
     """The set-image, spanned by the generator images, and its inclusion."""
-    values = set(f.table.values())
-    carrier = tuple(sorted(values))
-    sub = Submodule._spanned(f.codomain, carrier,
-                             [f(g) for g in f.domain.generators()], values)
-    incl = Homomorphism(sub, f.codomain, dict(zip(carrier, carrier)),
+    sub = Submodule(f.codomain, set(f.table.values()),
+                    tuple(f(g) for g in f.domain.generators()))
+    incl = Homomorphism(sub, f.codomain, dict(zip(sub.carrier, sub.carrier)),
                         _checked=True)
     return sub, incl
 

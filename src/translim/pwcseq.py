@@ -26,7 +26,7 @@ from .ordinal import (
     Ordinal,
     _OrdParser,
     format_ordinal,
-    interval_cardinality,
+    from_int,
     left_subtract,
 )
 
@@ -91,7 +91,6 @@ class PwcSeq:
     @staticmethod
     def from_tuple(values):
         """Finite sequence from an ordinary tuple/list of values."""
-        from .ordinal import from_int
         pieces = [(from_int(i), from_int(i + 1), v) for i, v in enumerate(values)]
         return PwcSeq._from_pieces(from_int(len(values)), pieces)
 
@@ -200,25 +199,6 @@ class PwcSeq:
         for lo, hi, v in other.pieces():
             pieces.append((self.length + lo, self.length + hi, v))
         return PwcSeq._from_pieces(self.length + other.length, pieces)
-
-    def support_if_finite(self, zero):
-        """[(index, value), ...] for entries != zero, or None if infinitely many.
-
-        The list enumerates every point of every non-zero interval, so it is
-        only produced when all such intervals are finite.
-        """
-        out = []
-        for lo, hi, v in self.pieces():
-            if v == zero:
-                continue
-            n = interval_cardinality(lo, hi)
-            if n is None:
-                return None
-            idx = lo
-            for _ in range(n):
-                out.append((idx, v))
-                idx = idx + ONE
-        return out
 
 
 # -- textual form -------------------------------------------------------------

@@ -143,18 +143,18 @@ def random_surjective_system_morphism(rng, modulus: int):
     src_levels = tuple(
         FiniteMod(modulus, target.prefix[j].shape + factors[j])
         for j in range(height))
+    # both kinds of map are linear: each extends its generator images
     homs = tuple(
-        Homomorphism.from_function(
-            src_levels[j], target.prefix[j],
-            lambda x, k=len(target.prefix[j].shape): x[:k])
-        for j in range(height))
+        Homomorphism.from_generator_images(
+            src, tgt, [e[:len(tgt.shape)] for e in src.generators()])
+        for src, tgt in zip(src_levels, target.prefix))
     src_maps = []
     for j in range(height - 1):
         m2 = target.maps[j]
         g = random_hom(rng, src_levels[j + 1], FiniteMod(modulus, factors[j]))
         k = len(target.prefix[j + 1].shape)
-        src_maps.append(Homomorphism.from_function(
+        src_maps.append(Homomorphism.from_generator_images(
             src_levels[j + 1], src_levels[j],
-            lambda x, m2=m2, g=g, k=k: m2(x[:k]) + g(x)))
+            [m2(e[:k]) + g(e) for e in src_levels[j + 1].generators()]))
     source = InverseSystem(OMEGA, src_levels, tuple(src_maps), target.tail)
     return SystemMorphism(source, target, homs)

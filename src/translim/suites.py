@@ -11,6 +11,7 @@ claims to exercise it; the test suite uses that as a negative control.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from . import ab5check, diagrams, sampling, transfinite
@@ -19,7 +20,7 @@ from .instances import FiniteMod, Homomorphism, standard_battery
 from .ordinal import OMEGA, ZERO, format_ordinal, from_int, parse_ordinal
 from .pwcseq import PwcSeq, format_pwc
 from .reports import SuiteReport, case
-from .terms import App, evaluate, format_term, scal, var
+from .terms import AdditiveTheory, App, evaluate, format_term, scal, var
 from .transfinite import build_lim_term
 
 TEST_ORDINALS = tuple(parse_ordinal(s) for s in (
@@ -65,7 +66,7 @@ def transfinite_suite(seed: int = 0) -> SuiteReport:
     witness = None
     z2 = FiniteMod(2, (2,))
     for n in range(1, 5):
-        for values in _all_tuples(z2, n):
+        for values in itertools.product(z2.elements(), repeat=n):
             fam = PwcSeq.from_tuple(values)
             got = transfinite.lim_eval(z2, fam)
             if got != values[-1]:
@@ -127,15 +128,6 @@ def transfinite_suite(seed: int = 0) -> SuiteReport:
         cases.append(case("constant family diverges", ok, alpha="w",
                           instance=module.literal, witness=witness))
     return SuiteReport("transfinite", seed, tuple(cases))
-
-
-def _all_tuples(module, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _all_tuples(module, n - 1):
-        for x in module.elements():
-            yield rest + (x,)
 
 
 def diagrams_suite(seed: int = 0) -> SuiteReport:
@@ -307,7 +299,6 @@ def ab5_suite(seed: int = 0) -> SuiteReport:
                           witness=verdict.to_json()
                           if verdict.surjective != expect else None))
     # 4: diagonal factorization, both flavours and both index sizes
-    from .terms import AdditiveTheory
     for infinitary in (True, False):
         for index in (from_int(4), OMEGA):
             theory = AdditiveTheory(2, infinitary)

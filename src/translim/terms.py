@@ -40,7 +40,7 @@ from .errors import (
     TheoryMismatchError,
     UnboundVariableError,
 )
-from .ordinal import ONE, ZERO, Ordinal, _OrdParser, format_ordinal
+from .ordinal import ONE, ZERO, Ordinal, _OrdParser, format_ordinal, from_int
 from .pwcseq import PwcSeq
 
 
@@ -132,7 +132,6 @@ ZERO_TERM = App("zero", ())
 
 
 def var(i) -> Var:
-    from .ordinal import from_int
     return Var(from_int(i) if isinstance(i, int) else i)
 
 

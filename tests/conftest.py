@@ -5,10 +5,11 @@ import random
 import hypothesis.strategies as st
 import pytest
 
-from translim import (INDEX, OMEGA, ZERO, ZERO_TERM, App, DivergentSumError,
-                      FiniteMod, Homomorphism, Lim, PwcSeq, Submodule, Sum,
-                      Var, from_int, image, omega_power, parse_ordinal,
+from translim import (INDEX, OMEGA, ONE, ZERO, ZERO_TERM, App,
+                      DivergentSumError, FiniteMod, Homomorphism, Lim, PwcSeq,
+                      Sum, Var, from_int, image, omega_power, parse_ordinal,
                       sample_points_below, scal, standard_battery)
+from translim.ordinal import interval_cardinality
 from translim.sampling import random_pwc
 
 
@@ -77,10 +78,27 @@ def random_pwc_over(draw):
     return module, random_pwc(rng, module, alpha)
 
 
+def support_if_finite(seq, zero):
+    """[(index, value), ...] for the entries != zero, every point of every
+    nonzero piece listed, or None if there are infinitely many."""
+    out = []
+    for lo, hi, v in seq.pieces():
+        if v == zero:
+            continue
+        n = interval_cardinality(lo, hi)
+        if n is None:
+            return None
+        idx = lo
+        for _ in range(n):
+            out.append((idx, v))
+            idx = idx + ONE
+    return out
+
+
 def point_by_point_sum(module, seq):
     """The infinitary sum that lists every point of every nonzero piece and
     adds the values one at a time: the reference for the piecewise sum."""
-    support = seq.support_if_finite(module.zero())
+    support = support_if_finite(seq, module.zero())
     if support is None:
         raise DivergentSumError(
             "family has a nonzero value on an infinite interval")
@@ -145,29 +163,6 @@ def term_families(draw, alpha, length, depth):
     pieces = [(lo, hi, draw(terms_over(alpha, depth, in_family=True)))
               for lo, hi in zip(bounds, bounds[1:])]
     return PwcSeq.from_pieces(pieces)
-
-
-@pytest.fixture
-def pair_check_adds(monkeypatch):
-    """A one-item list counting the parent additions that Submodule
-    constructors make, i.e. the work of the pair check on a carrier."""
-    count, inside = [0], [0]
-    post_init, add = Submodule.__post_init__, FiniteMod.add
-
-    def counted_post_init(self):
-        inside[0] += 1
-        try:
-            post_init(self)
-        finally:
-            inside[0] -= 1
-
-    def counted_add(self, a, b):
-        count[0] += inside[0] > 0
-        return add(self, a, b)
-
-    monkeypatch.setattr(Submodule, "__post_init__", counted_post_init)
-    monkeypatch.setattr(FiniteMod, "add", counted_add)
-    return count
 
 
 @pytest.fixture

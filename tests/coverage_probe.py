@@ -51,7 +51,7 @@ def _trace(frame, event, arg):
         return local
 
 
-def _install():
+def install():
     if sys.gettrace() is not _trace:
         sys.settrace(_trace)
     threading.settrace(_trace)
@@ -97,22 +97,28 @@ def unreached():
     return report, total
 
 
-def pytest_configure(config):
-    _install()
-
-
-@pytest.hookimpl(tryfirst=True)
-def pytest_runtest_setup(item):
-    _install()
-
-
-def pytest_terminal_summary(terminalreporter):
+def report_lines(probe):
+    """Stop tracing; the unreached statements, a headline and one line per
+    module."""
     sys.settrace(None)
     threading.settrace(None)
     report, total = unreached()
     missed = sum(len(lines) for lines in report.values())
-    write = terminalreporter.write_line
-    write(f"coverage probe: {missed} of {total} function-body statements "
-          f"in {LIBRARY.name} unreached")
+    yield (f"{probe}: {missed} of {total} function-body statements "
+           f"in {LIBRARY.name} unreached")
     for name, lines in report.items():
-        write(f"  {name}: {len(lines)}: {', '.join(map(str, lines))}")
+        yield f"  {name}: {len(lines)}: {', '.join(map(str, lines))}"
+
+
+def pytest_configure(config):
+    install()
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_setup(item):
+    install()
+
+
+def pytest_terminal_summary(terminalreporter):
+    for line in report_lines("coverage probe"):
+        terminalreporter.write_line(line)

@@ -17,7 +17,7 @@ from translim import (
     sample_points_below,
 )
 
-from conftest import battery_modules, pwc_over
+from conftest import battery_modules, pwc_over, support_if_finite
 
 
 def seq(text):
@@ -166,7 +166,7 @@ def test_from_support_and_back():
     assert s.value_at(from_int(3)) == 7
     assert s.value_at(OMEGA) == 9
     assert s.value_at(from_int(4)) == 0
-    assert s.support_if_finite(0) == entries
+    assert support_if_finite(s, 0) == entries
 
 
 def test_from_support_rejects_out_of_range():
@@ -175,9 +175,10 @@ def test_from_support_rejects_out_of_range():
 
 
 def test_support_if_finite_none_on_infinite():
-    assert seq("[0,w)->1").support_if_finite(0) is None
-    assert seq("[0,w)->0").support_if_finite(0) == []
-    assert seq("[0,3)->1;[3,w)->0").support_if_finite(0) == [
+    # the point listing behind the point-by-point reference sum
+    assert support_if_finite(seq("[0,w)->1"), 0) is None
+    assert support_if_finite(seq("[0,w)->0"), 0) == []
+    assert support_if_finite(seq("[0,3)->1;[3,w)->0"), 0) == [
         (ZERO, 1), (ONE, 1), (from_int(2), 1)]
 
 

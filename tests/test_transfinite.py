@@ -8,7 +8,8 @@ from hypothesis import given, settings
 
 import translim.transfinite as transfinite
 from conftest import (lengthy_pieces, ordinals, point_by_point_sum,
-                      pwc_over, random_pwc_over, terms_over)
+                      pwc_over, random_pwc_over, support_if_finite,
+                      terms_over)
 
 from translim import (
     INDEX,
@@ -188,7 +189,7 @@ def _reference_sum(module, fam):
         fam = fam.prefix(b)
     core = module.zero()
     if not b.is_zero:
-        support = fam.support_if_finite(core)
+        support = support_if_finite(fam, core)
         if support is None:
             raise DivergentSumError("infinite nonzero part")
         pieces = []
@@ -391,11 +392,12 @@ def _coefficient_family(c, shape):
                          ["finite", "limit", "successor", "overhang"])
 def test_sum_through_limits_works_per_piece(monkeypatch, module_ops, shape):
     # the same module operations whatever the coefficients; the pieces
-    # are read once, with no prefix and no point listing of the family
+    # are read once, with no prefix and no family rebuilt from its points
+    # (the library lists no support: that listing lives in conftest)
     families = [_coefficient_family(c, shape) for c in (3, 10 ** 9)]
     expected = [Z6.infinitary_sum(fam) for fam in families]
     calls = {name: _count_calls(monkeypatch, PwcSeq, name)
-             for name in ("prefix", "from_pieces", "support_if_finite")}
+             for name in ("prefix", "from_pieces", "from_support")}
     lims = _count_calls(monkeypatch, transfinite, "lim_eval")
     ops = []
     for fam, want in zip(families, expected):
@@ -403,8 +405,7 @@ def test_sum_through_limits_works_per_piece(monkeypatch, module_ops, shape):
         assert transfinite.sum_eval_from_lim(Z6, fam) == want
         ops.append(module_ops[0] - before)
     assert ops[0] == ops[1] <= 2 * len(families[0].values)
-    assert calls == {"prefix": [], "from_pieces": [],
-                     "support_if_finite": []}
+    assert calls == {"prefix": [], "from_pieces": [], "from_support": []}
     assert len(lims) == (0 if shape == "finite" else len(families))
 
 
