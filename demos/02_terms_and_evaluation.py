@@ -27,6 +27,13 @@ asg = parse_pwc("[0,2)->1; [2,w)->3", Z4.parse_element)
 print("evaluate over Z/4 at (1,1,3,3,...):",
       Z4.format_element(evaluate(t, Z4, asg)))
 
+# over a product of cyclic groups each coordinate is reduced by its own order
+Z2xZ4 = FiniteMod(4, (2, 4))
+pairs = parse_pwc("[0,1)->(1,1); [1,w)->(0,3)", Z2xZ4.parse_element)
+print("evaluate (+ (- x0) x1) over Z/2 x Z/4 at ((1,1),(0,3),...):",
+      Z2xZ4.format_element(evaluate(parse_term("(+ (- x0) x1)", theory),
+                                    Z2xZ4, pairs)))
+
 # the canonical summation term of length w, and a finite-support family
 sigma = sum_term(omega)
 print("summation term:", format_term(sigma))

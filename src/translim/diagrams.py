@@ -127,7 +127,8 @@ class InverseSystem:
 
     def push_down(self, x, j: int, i: int):
         """The image at level i of the level-j element x (i <= j), one table
-        lookup per map; past the prefix every step is the tail map."""
+        lookup per map; past the prefix every step is the tail map, and the
+        identity steps of a constant tail are skipped."""
         if i > j:
             raise IndexOutOfRangeError(f"no map from level {j} up to {i}")
         top = self.height - 1
@@ -135,10 +136,13 @@ class InverseSystem:
             if self.index != OMEGA:
                 raise IndexOutOfRangeError(
                     f"level {j} of a height-{self.height} finite system")
-            step = self.tail_map.table
-            while j > top and j > i:
-                x = step[x]
-                j -= 1
+            if self.tail == "constant":
+                j = max(top, i)
+            else:
+                step = self.tail_map.table
+                while j > top and j > i:
+                    x = step[x]
+                    j -= 1
         for f in reversed(self.maps[i:j]):
             x = f.table[x]
         return x
@@ -186,25 +190,29 @@ def limit_object(system: InverseSystem) -> LimitObject:
     The image chain of the tail map on the top level is iterated until it
     stabilizes; the number of steps is the reported depth.  A finite index
     or a constant tail has the identity as its tail map, so its carrier is
-    the whole top level, at depth 0.  The chain is a chain of subgroups and
-    each strict step at least halves the size, so the depth is at most
-    log2 of the size of the top level.
+    the whole top level, at depth 0, with the identity as its lift, and no
+    chain is run.  The chain is a chain of subgroups and each strict step
+    at least halves the size, so the depth is at most log2 of the size of
+    the top level.
     """
     top = system.prefix[-1]
     current = set(top.elements())
     gens = top.generators()
     depth = 0
-    step = system.tail_map.table.__getitem__
-    while (nxt := set(map(step, current))) != current:
-        depth += 1
-        current = nxt
-        gens = [step(g) for g in gens]
-    lift = dict(zip(map(step, current), current))
-    # on the stabilized image the endomorphism is onto, hence bijective
-    if len(lift) != len(current):
-        raise TranslimError(
-            f"the endomorphism is not injective on the stabilized image "
-            f"({len(current)} elements, {len(lift)} distinct images)")
+    if system.tail != "repeat-last-block":
+        lift = dict(zip(current, current))
+    else:
+        step = system.tail_map.table.__getitem__
+        while (nxt := set(map(step, current))) != current:
+            depth += 1
+            current = nxt
+            gens = [step(g) for g in gens]
+        lift = dict(zip(map(step, current), current))
+        # on the stabilized image the endomorphism is onto, hence bijective
+        if len(lift) != len(current):
+            raise TranslimError(
+                f"the endomorphism is not injective on the stabilized image "
+                f"({len(current)} elements, {len(lift)} distinct images)")
     # the image of endo^depth is spanned by the images of the generators
     carrier = Submodule(top, current, tuple(gens))
     return LimitObject(system, system.height - 1, carrier, depth, lift)

@@ -114,6 +114,10 @@ class FiniteMod(ModuleInstance):
     # which keeps one attribute layout for every instance (caching it on
     # first use grows each instance dict and slows every attribute read)
     theory: AdditiveTheory = field(init=False, repr=False, compare=False)
+    # the order of the one component of a rank-1 module, 0 at any other
+    # rank: the operations take a one-line path on it for operands of
+    # length 1, and the comprehension (which zip truncates) otherwise
+    cyclic: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -124,6 +128,8 @@ class FiniteMod(ModuleInstance):
                     f"component order {m} must divide the modulus {self.modulus}")
         object.__setattr__(self, "theory",
                            AdditiveTheory(self.modulus, self.infinitary))
+        object.__setattr__(self, "cyclic",
+                           self.shape[0] if len(self.shape) == 1 else 0)
 
     is_finite = True
 
@@ -138,15 +144,27 @@ class FiniteMod(ModuleInstance):
     # generator it resizes it, and resized tuples pile up in CPython's
     # per-size tuple free lists until a full garbage collection
     def add(self, a, b):
+        m = self.cyclic
+        if m and len(a) == 1 and len(b) == 1:
+            return ((a[0] + b[0]) % m,)
         return tuple([(x + y) % m for x, y, m in zip(a, b, self.shape)])
 
     def neg(self, a):
+        m = self.cyclic
+        if m and len(a) == 1:
+            return ((-a[0]) % m,)
         return tuple([(-x) % m for x, m in zip(a, self.shape)])
 
     def sub(self, a, b):
+        m = self.cyclic
+        if m and len(a) == 1 and len(b) == 1:
+            return ((a[0] - b[0]) % m,)
         return tuple([(x - y) % m for x, y, m in zip(a, b, self.shape)])
 
     def scal(self, r, a):
+        m = self.cyclic
+        if m and len(a) == 1:
+            return ((r * a[0]) % m,)
         return tuple([(r * x) % m for x, m in zip(a, self.shape)])
 
     def _check_size(self):
@@ -159,7 +177,7 @@ class FiniteMod(ModuleInstance):
 
     def contains(self, x):
         return (isinstance(x, tuple) and len(x) == len(self.shape)
-                and all(isinstance(c, int) and 0 <= c < m
+                and all(type(c) is int and 0 <= c < m
                         for c, m in zip(x, self.shape)))
 
     def generators(self):
@@ -207,7 +225,7 @@ class FiniteMod(ModuleInstance):
 
     def element_from_json(self, data):
         if (not isinstance(data, list) or len(data) != len(self.shape)
-                or not all(isinstance(c, int) and 0 <= c < m
+                or not all(type(c) is int and 0 <= c < m
                            for c, m in zip(data, self.shape))):
             raise ParseError(f"bad element {data!r} for {self.literal}")
         return tuple(data)

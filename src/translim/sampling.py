@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import check_enumeration
 from .instances import FiniteMod, Homomorphism
 from .ordinal import OMEGA, ZERO, Ordinal, _sample_grid, left_subtract
 from .pwcseq import PwcSeq
@@ -86,7 +87,12 @@ def random_support_family(rng, module, alpha: Ordinal) -> PwcSeq:
 
 def random_divisor_shape(rng, modulus: int, max_rank: int = 2,
                          max_size: int = 8) -> tuple:
-    small = [d for d in range(1, math.isqrt(modulus) + 1) if modulus % d == 0]
+    """Up to max_rank divisors of modulus with product at most max_size.
+    The divisors are found by trial division up to isqrt(modulus), which
+    is refused past the enumeration limit before it starts."""
+    root = math.isqrt(modulus)
+    check_enumeration(root, lambda: f"the divisor scan of {modulus}")
+    small = [d for d in range(1, root + 1) if modulus % d == 0]
     divisors = small + [modulus // d for d in reversed(small)
                         if d * d != modulus]
     while True:

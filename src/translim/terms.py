@@ -307,7 +307,8 @@ def eval_family(fam: PwcSeq, module, assignment: PwcSeq) -> PwcSeq:
 
 def _eval_pieces(fam: PwcSeq, module, assignment: PwcSeq) -> list:
     """The evaluated pieces of fam, in order: a piece whose term names its
-    position is split at the assignment's breakpoints."""
+    position is split at the assignment's breakpoints, and the bare
+    placeholder takes the assignment's values there."""
     pieces = []
     for lo, hi, t in fam.pieces():
         if mentions_index(t):
@@ -315,6 +316,9 @@ def _eval_pieces(fam: PwcSeq, module, assignment: PwcSeq) -> list:
                 raise UnboundVariableError(
                     f"family positions up to {format_ordinal(hi)} exceed the "
                     f"assignment length {format_ordinal(assignment.length)}")
+            if type(t) is IndexVar:
+                pieces += assignment.clip(lo, hi)
+                continue
             for lo2, hi2, bound in assignment.clip(lo, hi):
                 pieces.append((lo2, hi2,
                                evaluate(t, module, assignment, _bound=bound)))

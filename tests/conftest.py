@@ -165,6 +165,25 @@ def term_families(draw, alpha, length, depth):
     return PwcSeq.from_pieces(pieces)
 
 
+# FiniteMod's operations as one comprehension over the shape at every rank,
+# which zip truncates to the shortest operand: the reference for the
+# one-line path that rank-1 modules take
+def reference_add(module, a, b):
+    return tuple([(x + y) % m for x, y, m in zip(a, b, module.shape)])
+
+
+def reference_neg(module, a):
+    return tuple([(-x) % m for x, m in zip(a, module.shape)])
+
+
+def reference_sub(module, a, b):
+    return tuple([(x - y) % m for x, y, m in zip(a, b, module.shape)])
+
+
+def reference_scal(module, r, a):
+    return tuple([(r * x) % m for x, m in zip(a, module.shape)])
+
+
 @pytest.fixture
 def module_ops(monkeypatch):
     """A one-item list counting FiniteMod.add, neg, sub and scal calls,

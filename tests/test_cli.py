@@ -450,6 +450,7 @@ def test_diagram_check_bad_field(capsys, tmp_path):
 BAD_LEVEL = "bad-level:"  # argv placeholder for a diagram file with that level
 BAD_THEORY = "bad-theory:"  # ... with that JSON text as its theory
 BAD_INDEX = "bad-index:"  # ... with that index string
+BAD_MAPS = "bad-maps:"  # ... with that JSON text as its maps
 NESTED = "nested:"  # argv placeholder for a file of that many '['
 DEEP = "recursion limit"
 # the longest number the interpreter converts from text: the sum of two
@@ -458,12 +459,11 @@ BIG = "9" * sys.get_int_max_str_digits()
 
 
 def _diagram_with_level(tmp_path, level, theory="add-inf mod 2",
-                        index="w") -> str:
+                        index="w", maps=((((0,), (0,)), ((1,), (1,))),)) -> str:
     path = tmp_path / "bad-level.json"
     path.write_text(json.dumps({
         "index": index, "theory": theory, "prefix": ["Z/2", level],
-        "tail": "constant", "maps": [[[[0], [0]], [[1], [1]]]]}),
-        encoding="utf-8")
+        "tail": "constant", "maps": maps}), encoding="utf-8")
     return str(path)
 
 
@@ -476,6 +476,9 @@ def _argv_file(tmp_path, arg) -> str:
     if arg.startswith(BAD_INDEX):
         return _diagram_with_level(tmp_path, "Z/2",
                                    index=arg[len(BAD_INDEX):])
+    if arg.startswith(BAD_MAPS):
+        return _diagram_with_level(tmp_path, "Z/2",
+                                   maps=json.loads(arg[len(BAD_MAPS):]))
     if arg.startswith(NESTED):
         path = tmp_path / "nested.json"
         path.write_text("[" * int(arg[len(NESTED):]), encoding="utf-8")
@@ -519,6 +522,9 @@ def _argv_file(tmp_path, arg) -> str:
      'diagram.index: expected "w" or an integer string of at least 1'),
     (("diagram", "limit", BAD_INDEX + "-1"),
      'diagram.index: expected "w" or an integer string of at least 1'),
+    # a JSON boolean is no coordinate, though bool is an int
+    (("diagram", "limit", BAD_MAPS + "[[[[0], [0]], [[true], [true]]]]"),
+     "bad element [True] for Z/2"),
     # a digit that int() rejects is no digit; a number past the interpreter's
     # limit on integer string conversion is a usage error, not a traceback
     (("ordinal", "fmt", "\u00b2"), "expected 'w' or a number (at position 0)"),
@@ -567,6 +573,9 @@ def _argv_file(tmp_path, arg) -> str:
      "ResourceLimitError: the carrier of Z/3000000 can list more than"),
     (("ordinal", "points", "100000000"),
      "ResourceLimitError: the sample grid below 100000000 can list more"),
+    (("diagram", "sample", "--mod", "10000000000000000"),
+     "ResourceLimitError: the divisor scan of 10000000000000000 can list "
+     "more than 1048576 items"),
     (("sumterm", "eval", "--alpha", "w", "--module", "Z/2",
       "--seq", "[0,10000000)->1;[10000000,w)->0"),
      "ResourceLimitError: the partial sums over w can list more than "
@@ -577,7 +586,8 @@ def _argv_file(tmp_path, arg) -> str:
         "deep-json", "ab5-deep-diagonal", "ordinal-sub-underflow",
         "ordinal-sub-underflow-w", "limterm-build-alpha-0",
         "check-limterm-alpha-0", "refute-alpha-0", "diagram-index-0",
-        "diagram-index-negative", "ordinal-superscript-digit",
+        "diagram-index-negative", "diagram-map-boolean",
+        "ordinal-superscript-digit",
         "scal-superscript-digit", "family-bound-superscript-digit",
         "ordinal-too-many-digits", "scal-too-many-digits",
         "term-parse-unknown-op", "term-eval-unknown-op",
@@ -586,7 +596,8 @@ def _argv_file(tmp_path, arg) -> str:
         "limterm-eval-finitary-free",
         "check-limterm-free", "ordinal-sum-too-many-digits",
         "free-sum-too-deep", "ab5-ring-10^8",
-        "ab5-ring-3*10^6", "ordinal-points-10^8", "sumterm-points-10^7"])
+        "ab5-ring-3*10^6", "ordinal-points-10^8", "sample-mod-10^16",
+        "sumterm-points-10^7"])
 def test_known_bad_inputs_exit_two(capsys, tmp_path, argv, needle):
     argv = [_argv_file(tmp_path, a) for a in argv]
     start = time.perf_counter()

@@ -159,13 +159,17 @@ def test_push_down_matches_composite_tables_on_doubling_tower(a):
 
 
 def push_down_by_map_calls(system, x, j, i):
-    """InverseSystem.push_down as it was, one map_at call per step."""
+    """InverseSystem.push_down as it was, one map_at call per step, but
+    for the identity steps past the prefix of a constant tail, which are
+    skipped: a non-element passes them unchanged."""
     if i > j:
         raise IndexOutOfRangeError(f"no map from level {j} up to {i}")
     if j >= system.height and system.index != OMEGA:
         raise IndexOutOfRangeError(
             f"level {j} of a height-{system.height} finite system")
     for k in range(j - 1, i - 1, -1):
+        if system.tail == "constant" and k >= system.height - 1:
+            continue
         x = system.map_at(k)(x)
     return x
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import (battery_modules, battery_or_submodules, lengthy_pieces,
-                      point_by_point_sum, random_pwc_over)
+                      point_by_point_sum, random_pwc_over, reference_add,
+                      reference_neg, reference_scal, reference_sub)
 
 from translim import (
     OMEGA,
@@ -43,7 +44,7 @@ from translim import (
     zero_module,
 )
 from translim import instances
-from translim.diagrams import InverseSystem
+from translim.diagrams import InverseSystem, limit_object
 from translim.errors import ENUMERATION_LIMIT, HomomorphismValidationError
 from translim.sampling import (random_hom, random_surjective_system_morphism,
                                random_system)
@@ -164,6 +165,12 @@ def test_theory_is_built_once_and_stays_out_of_the_value():
     assert text == "FiniteMod(modulus=4, shape=(2, 4), infinitary=True)"
     assert hash(m) == key == hash(twin)
     assert m == twin and m != FiniteMod(4, (2, 4), False)
+    # so is the order that keys the rank-1 path, 0 at any other rank
+    assert [FiniteMod(n, shape).cyclic for n, shape in
+            ((4, (4,)), (4, (2,)), (1, (1,)), (1, ()), (4, (2, 4)))] == \
+        [4, 2, 1, 0, 0]
+    assert repr(FiniteMod(4, (4,))) == \
+        "FiniteMod(modulus=4, shape=(4,), infinitary=True)"
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,9 +218,11 @@ def test_finite_mod_parse_element_rejects(module, text):
 def test_finite_mod_element_json_round_trip():
     assert Z2xZ4.element_to_json((1, 2)) == [1, 2]
     assert Z2xZ4.element_from_json([1, 2]) == (1, 2)
-    for bad in ([1], [1, 4], (1, 2), [1, "2"]):
+    for bad in ([1], [1, 4], (1, 2), [1, "2"], [True, 1], [1, False]):
         with pytest.raises(ParseError):
             Z2xZ4.element_from_json(bad)
+    # a JSON boolean is no coordinate, though bool is an int
+    assert not Z2xZ4.contains((True, 1)) and not Z2.contains((False,))
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,6 +239,30 @@ def test_finite_mod_group_laws(m, data):
     s = data.draw(st.integers(0, m.modulus))
     assert m.scal(r, m.scal(s, a)) == m.scal((r * s) % m.modulus, a)
     assert m.scal(r, m.add(a, b)) == m.add(m.scal(r, a), m.scal(r, b))
+
+
+# coordinates past any order, negative ones included, and tuples of every
+# length up to 4 whatever the rank, including the empty tuple
+_coordinates = st.integers(-20, 20) | st.integers(-10 ** 30, 10 ** 30)
+_operands = st.lists(_coordinates, max_size=4).map(tuple)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=3), st.integers(1, 3),
+       _operands, _operands,
+       st.integers(-20, 20) | st.integers(-10 ** 40, 10 ** 40))
+@example([4], 1, (1,), (3,), -1)
+@example([2], 2, (3,), (1,), 3)
+@example([1], 1, (5,), (), 7)
+@example([6], 1, (), (2,), 0)
+@example([2, 2], 1, (1,), (1,), 3)
+def test_operations_match_the_comprehensions(shape, cofactor, a, b, r):
+    # the modulus is a multiple of every order, not always equal to one
+    module = FiniteMod(math.lcm(*shape) * cofactor, tuple(shape))
+    assert module.add(a, b) == reference_add(module, a, b)
+    assert module.sub(a, b) == reference_sub(module, a, b)
+    assert module.neg(a) == reference_neg(module, a)
+    assert module.scal(r, a) == reference_scal(module, r, a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -666,7 +699,8 @@ def test_a_constant_tail_system_builds_no_identity_table(tables_built):
         Homomorphism.from_function(Z2xZ4, Z2xZ4, lambda x: x),), "constant")
     assert tables_built == [0]
     assert system.push_down((1, 3), 5, 0) == (1, 3)
-    assert tables_built == [1]
+    assert limit_object(system).depth == 0
+    assert tables_built == [0]  # the identity steps past the prefix skipped
 
 
 def test_from_generator_images_into_a_free_module():

@@ -8,7 +8,8 @@ from conftest import battery_or_submodules, ordinals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translim import FiniteMod, PwcSeq
+from translim import FiniteMod, PwcSeq, ResourceLimitError
+from translim.errors import ENUMERATION_LIMIT
 from translim.ordinal import ZERO, left_subtract, sample_points_below
 from translim.sampling import (random_divisor_shape, random_element,
                                random_pwc, random_support_family,
@@ -51,6 +52,19 @@ def test_random_divisor_shape_chooses_from_the_ascending_divisors():
         rng = _RecordingRng()
         assert random_divisor_shape(rng, n, max_rank=1) == (1,)
         assert rng.seen == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_the_divisor_scan_is_refused_past_the_enumeration_limit():
+    # the scan runs to isqrt(modulus): the limit squared is the last
+    # modulus scanned, and the next square is refused before any draw
+    rng = _RecordingRng()
+    assert random_divisor_shape(rng, ENUMERATION_LIMIT ** 2, max_rank=1) \
+        == (1,)
+    assert ENUMERATION_LIMIT in rng.seen
+    rng = _RecordingRng()
+    with pytest.raises(ResourceLimitError, match="the divisor scan of"):
+        random_divisor_shape(rng, (ENUMERATION_LIMIT + 1) ** 2)
+    assert not hasattr(rng, "seen")
 
 
 # -- the draws of a family ---------------------------------------------------

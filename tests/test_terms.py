@@ -41,6 +41,7 @@ from translim import (
     var,
     variable_ceiling,
 )
+from translim import terms
 from translim.terms import (
     eval_family,
     mentions_index,
@@ -321,6 +322,30 @@ def test_evaluate_unbound_errors():
         evaluate(INDEX, Z4, a)
     with pytest.raises(UnboundVariableError):
         eval_family(basis_family(OMEGA), Z4, a)
+
+
+def test_the_bare_placeholder_takes_the_assignment_unevaluated(monkeypatch):
+    # a body that only names its position is the assignment there; any
+    # other body naming it is evaluated once per piece it is cut into
+    sigma = PwcSeq.from_pieces([
+        (ZERO, from_int(2), scal(2, INDEX)),
+        (from_int(2), OMEGA, INDEX),
+    ])
+    a = PwcSeq.from_pieces([(ZERO, from_int(3), (1,)),
+                            (from_int(3), from_int(5), (2,)),
+                            (from_int(5), OMEGA, (0,))])
+    calls = []
+    walk = terms.evaluate
+
+    def counted(t, *args, **kwargs):
+        calls.append(t)
+        return walk(t, *args, **kwargs)
+
+    monkeypatch.setattr(terms, "evaluate", counted)
+    assert eval_family(sigma, Z3, a).pieces() == [
+        (ZERO, from_int(2), (2,)), (from_int(2), from_int(3), (1,)),
+        (from_int(3), from_int(5), (2,)), (from_int(5), OMEGA, (0,))]
+    assert calls == [scal(2, INDEX), INDEX]
 
 
 # -- substitution -------------------------------------------------------------------

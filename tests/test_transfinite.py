@@ -443,7 +443,8 @@ def test_lim_eval_makes_three_operations_per_piece(module_ops, length):
     k = 8
     fam = lengthy_pieces(k, length)
     assert lim_eval(Z4, fam) == (0,)
-    assert module_ops[0] <= 3 * k
+    # the rank-1 path runs inside the counted methods, so none is missed
+    assert 0 < module_ops[0] <= 3 * k
 
 
 class _ForgetfulSub(FiniteMod):
