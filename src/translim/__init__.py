@@ -5,12 +5,13 @@ The public surface re-exports the working vocabulary; the submodules stay
 importable for the long tail (sampling, suites, cli).
 """
 
-from .errors import (DivergentSumError, HomomorphismValidationError,
-                     IndexOutOfRangeError, InfiniteCarrierError,
-                     InvalidAlphaError, LengthMismatchError,
-                     LevelwiseNotEpiError, ModuleValidationError,
-                     OrdinalUnderflowError, ParseError, PositiveVerdictError,
-                     ResourceLimitError, TheoryMismatchError, TranslimError,
+from .errors import (DivergentSumError, FrozenFieldError,
+                     HomomorphismValidationError, IndexOutOfRangeError,
+                     InfiniteCarrierError, InvalidAlphaError,
+                     LengthMismatchError, LevelwiseNotEpiError,
+                     ModuleValidationError, OrdinalUnderflowError,
+                     ParseError, PositiveVerdictError, ResourceLimitError,
+                     TheoryMismatchError, TranslimError,
                      UnboundVariableError, UnknownSuiteError)
 from .ordinal import (OMEGA, ONE, ZERO, Ordinal, format_ordinal, from_int,
                       left_subtract, omega_power, parse_ordinal,

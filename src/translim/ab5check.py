@@ -18,10 +18,10 @@ approximation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .diagrams import InverseSystem, lim_to_prod_section_check
 from .errors import InvalidAlphaError, TranslimError
+from .frozen import Frozen
 from .instances import FiniteMod, Homomorphism
 from .ordinal import OMEGA, ZERO, Ordinal, format_ordinal, from_int, \
     interval_cardinality, sample_points_below
@@ -47,14 +47,14 @@ from .transfinite import (
 )
 
 
-@dataclass(frozen=True)
-class EtaVerdict:
+class EtaVerdict(Frozen):
     """Can finitely supported families reach every family over the index?"""
 
-    modulus: int
-    index: Ordinal
-    surjective: bool
-    certificate: dict
+    __slots__ = ("modulus", "index", "surjective", "certificate")
+
+    def __init__(self, modulus: int, index: Ordinal, surjective: bool,
+                 certificate: dict):
+        self._set_fields(modulus, index, surjective, certificate)
 
     def to_json(self) -> dict:
         return {
@@ -108,17 +108,17 @@ def eta_surjective_decision(modulus: int, index: Ordinal) -> EtaVerdict:
     })
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(Frozen):
     """A summation term through which the diagonal factors, if any."""
 
-    index: Ordinal
-    theory: str
-    exists: bool
-    term: object | None
-    checks: int
-    witness: dict | None
-    refutation: dict | None = None
+    __slots__ = ("index", "theory", "exists", "term", "checks", "witness",
+                 "refutation")
+
+    def __init__(self, index: Ordinal, theory: str, exists: bool, term,
+                 checks: int, witness: dict | None,
+                 refutation: dict | None = None):
+        self._set_fields(index, theory, exists, term, checks, witness,
+                         refutation)
 
     @property
     def verified(self) -> bool:
@@ -178,13 +178,12 @@ def diagonal_factorization(theory: AdditiveTheory,
     return DiagonalReport(index, theory.literal, True, term, checks, witness)
 
 
-@dataclass(frozen=True)
-class SummationReport:
-    instance: str
-    index: Ordinal
-    trials: int
-    passed: bool
-    witness: dict | None
+class SummationReport(Frozen):
+    __slots__ = ("instance", "index", "trials", "passed", "witness")
+
+    def __init__(self, instance: str, index: Ordinal, trials: int,
+                 passed: bool, witness: dict | None):
+        self._set_fields(instance, index, trials, passed, witness)
 
     def to_json(self) -> dict:
         return {
@@ -251,14 +250,14 @@ def weighted_sum_term(weights: PwcSeq) -> Sum:
 # -- the audit -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditRow:
-    theory: str
-    modulus: int
-    infinitary: bool
-    cond_limits: bool
-    cond_reach: bool
-    cond_diagonal: bool
+class AuditRow(Frozen):
+    __slots__ = ("theory", "modulus", "infinitary", "cond_limits",
+                 "cond_reach", "cond_diagonal")
+
+    def __init__(self, theory: str, modulus: int, infinitary: bool,
+                 cond_limits: bool, cond_reach: bool, cond_diagonal: bool):
+        self._set_fields(theory, modulus, infinitary, cond_limits,
+                         cond_reach, cond_diagonal)
 
     @property
     def agree(self) -> bool:

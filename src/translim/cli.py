@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple
 from . import ab5check, diagrams, sampling, suites, transfinite
 from .errors import (InfiniteCarrierError, InvalidAlphaError,
                      OrdinalUnderflowError, ParseError, ResourceLimitError,
-                     TheoryMismatchError, TranslimError, UnboundVariableError)
+                     TheoryMismatchError, TranslimError, UnboundVariableError,
+                     nesting_message)
 from .instances import FiniteMod, parse_instance, standard_battery
 from .ordinal import (OMEGA, compare, format_ordinal, left_subtract,
                       parse_ordinal, sample_points_below)
@@ -461,9 +462,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print(f"error: input nests deeper than the recursion limit "
-              f"({sys.getrecursionlimit()})", file=sys.stderr)
+    except RecursionError:  # a deep term built in code, not read from text
+        print(f"error: {nesting_message()}", file=sys.stderr)
         return 2
     except (ResourceLimitError, *args.row.usage_errors) as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

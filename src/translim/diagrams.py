@@ -21,7 +21,6 @@ the maps (InverseSystem.push_down); no composite table is ever built.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 
 from .errors import (
     HomomorphismValidationError,
@@ -33,6 +32,7 @@ from .errors import (
     TheoryMismatchError,
     TranslimError,
 )
+from .frozen import Frozen, set_field
 from .instances import (
     FiniteMod,
     Homomorphism,
@@ -49,56 +49,57 @@ from .transfinite import lim_eval
 _TAIL_RULES = ("constant", "repeat-last-block")
 
 
-@dataclass(frozen=True)
-class InverseSystem:
+class InverseSystem(Frozen):
     """Levels M_0 <- M_1 <- ... with maps[j] : level j+1 -> level j."""
 
-    index: Ordinal
-    prefix: tuple
-    maps: tuple
-    tail: str | None = "constant"
-    # every map past the prefix: the last map under repeat-last-block, else
-    # the identity of the top level; derived in __post_init__, not a field
-    tail_map = None
+    __slots__ = ("index", "prefix", "maps", "tail", "tail_map")
+    # tail_map is every map past the prefix: the last map under
+    # repeat-last-block, else the identity of the top level; derived, so
+    # equality, hash and repr skip it
+    _fields = ("index", "prefix", "maps", "tail")
 
-    def __post_init__(self):
-        if not self.prefix:
+    def __init__(self, index: Ordinal, prefix: tuple, maps: tuple,
+                 tail: str | None = "constant"):
+        if not prefix:
             raise InvalidAlphaError("a system needs at least one level")
-        if len(self.maps) != len(self.prefix) - 1:
+        if len(maps) != len(prefix) - 1:
             raise ParseError(
-                f"{len(self.prefix)} levels need {len(self.prefix) - 1} maps")
-        th = self.prefix[0].theory
-        for lvl in self.prefix:
+                f"{len(prefix)} levels need {len(prefix) - 1} maps")
+        th = prefix[0].theory
+        for lvl in prefix:
             if not lvl.is_finite:
                 raise InfiniteCarrierError("system levels must be finite")
             if lvl.theory != th:
                 raise TheoryMismatchError("levels over different theories")
-        for j, f in enumerate(self.maps):
-            if f.domain != self.prefix[j + 1] or f.codomain != self.prefix[j]:
+        for j, f in enumerate(maps):
+            if f.domain != prefix[j + 1] or f.codomain != prefix[j]:
                 raise ParseError(
                     f"map {j} must go from level {j + 1} to level {j}")
-        if self.index == OMEGA:
-            if self.tail not in _TAIL_RULES:
+        if index == OMEGA:
+            if tail not in _TAIL_RULES:
                 raise ParseError(
-                    f"tail rule must be one of {_TAIL_RULES}, got {self.tail!r}")
-            if self.tail == "repeat-last-block":
-                if len(self.prefix) < 2 or self.prefix[-1] != self.prefix[-2]:
+                    f"tail rule must be one of {_TAIL_RULES}, got {tail!r}")
+            if tail == "repeat-last-block":
+                if len(prefix) < 2 or prefix[-1] != prefix[-2]:
                     raise ParseError(
                         "repeat-last-block needs equal last two levels")
-        elif self.index.is_finite and not self.index.is_zero:
-            if self.index.to_int() != len(self.prefix):
+        elif index.is_finite and not index.is_zero:
+            if index.to_int() != len(prefix):
                 raise ParseError(
-                    f"finite index {self.index.to_int()} must equal the "
-                    f"number of levels {len(self.prefix)}")
-            if self.tail is not None:
+                    f"finite index {index.to_int()} must equal the "
+                    f"number of levels {len(prefix)}")
+            if tail is not None:
                 raise ParseError("finite systems take no tail rule")
         else:
             raise InvalidAlphaError(
                 f"system index must be omega or finite >= 1, "
-                f"got {format_ordinal(self.index)}")
-        object.__setattr__(
-            self, "tail_map", self.maps[-1] if self.tail == "repeat-last-block"
-            else Homomorphism.identity(self.prefix[-1]))
+                f"got {format_ordinal(index)}")
+        set_field(self, "index", index)
+        set_field(self, "prefix", prefix)
+        set_field(self, "maps", maps)
+        set_field(self, "tail", tail)
+        set_field(self, "tail_map", maps[-1] if tail == "repeat-last-block"
+                  else Homomorphism.identity(prefix[-1]))
 
     @property
     def height(self) -> int:
@@ -367,15 +368,17 @@ def compose_system_morphisms(second: SystemMorphism,
     return SystemMorphism(source, target, homs)
 
 
-@dataclass(frozen=True)
-class SurjectivityReport:
-    limit_epi: bool
-    source_depth: int
-    target_depth: int
-    missed: object | None
+class SurjectivityReport(Frozen):
+    __slots__ = ("limit_epi", "source_depth", "target_depth", "missed")
+
+    def __init__(self, limit_epi: bool, source_depth: int, target_depth: int,
+                 missed: str | None):
+        self._set_fields(limit_epi, source_depth, target_depth, missed)
 
     def to_json(self) -> dict:
-        return {"levelwise_epi": True, **asdict(self)}
+        return {"levelwise_epi": True, "limit_epi": self.limit_epi,
+                "source_depth": self.source_depth,
+                "target_depth": self.target_depth, "missed": self.missed}
 
 
 def check_inverse_limit_surjectivity(phi: SystemMorphism) -> SurjectivityReport:
@@ -402,15 +405,16 @@ def check_inverse_limit_surjectivity(phi: SystemMorphism) -> SurjectivityReport:
 # -- the product retraction, computed with the limit recursion --------------------
 
 
-@dataclass(frozen=True)
-class SectionReport:
-    trials: int
-    levels_checked: int
-    passed: bool
-    witness: dict | None
+class SectionReport(Frozen):
+    __slots__ = ("trials", "levels_checked", "passed", "witness")
+
+    def __init__(self, trials: int, levels_checked: int, passed: bool,
+                 witness: dict | None):
+        self._set_fields(trials, levels_checked, passed, witness)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"trials": self.trials, "levels_checked": self.levels_checked,
+                "passed": self.passed, "witness": self.witness}
 
 
 def retract_product_element(system: InverseSystem, coord, bound: int,

@@ -8,6 +8,8 @@ so `except ValueError` and `except KeyError` still catch it.
 
 from __future__ import annotations
 
+import sys
+
 
 class TranslimError(Exception):
     """Base class for all errors raised on purpose by this package."""
@@ -21,6 +23,12 @@ class ParseError(TranslimError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
+
+
+def nesting_message() -> str:
+    """The message for input nested past the interpreter's recursion limit."""
+    return (f"input nests deeper than the recursion limit "
+            f"({sys.getrecursionlimit()})")
 
 
 class OrdinalUnderflowError(TranslimError):
@@ -82,6 +90,10 @@ class HomomorphismValidationError(TranslimError):
     def __init__(self, message: str, witness=None):
         self.witness = witness
         super().__init__(message)
+
+
+class FrozenFieldError(TranslimError, AttributeError):
+    """An assignment to, or deletion of, a field of an immutable value."""
 
 
 class ModuleValidationError(TranslimError, ValueError):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     DivergentSumError,
@@ -48,6 +47,7 @@ from .errors import (
     TranslimError,
     check_enumeration,
 )
+from .frozen import Frozen, set_field
 from .ordinal import (Ordinal, format_ordinal, interval_cardinality,
                       parse_ordinal)
 from .pwcseq import PwcSeq
@@ -61,8 +61,10 @@ from .terms import (
 )
 
 
-class ModuleInstance:
+class ModuleInstance(Frozen):
     """Operation dispatch shared by every kind of instance."""
+
+    __slots__ = ()
 
     def apply(self, op, args):
         ar = self.theory.arity(op)
@@ -103,33 +105,39 @@ class ModuleInstance:
         return len(self.elements())
 
 
-@dataclass(frozen=True)
 class FiniteMod(ModuleInstance):
     """Z/shape[0] x ... x Z/shape[k-1] as a module over Z/modulus."""
 
-    modulus: int
-    shape: tuple
-    infinitary: bool = True
-    # derived, so equality, hash and repr skip it; set in __post_init__,
-    # which keeps one attribute layout for every instance (caching it on
-    # first use grows each instance dict and slows every attribute read)
-    theory: AdditiveTheory = field(init=False, repr=False, compare=False)
+    __slots__ = ("modulus", "shape", "infinitary", "theory", "cyclic")
+    # theory and cyclic are derived, so equality, hash and repr skip them:
+    # theory is the AdditiveTheory of modulus and infinitary, and cyclic
     # the order of the one component of a rank-1 module, 0 at any other
-    # rank: the operations take a one-line path on it for operands of
+    # rank; the operations take a one-line path on it for operands of
     # length 1, and the comprehension (which zip truncates) otherwise
-    cyclic: int = field(init=False, repr=False, compare=False)
+    _fields = ("modulus", "shape", "infinitary")
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, modulus: int, shape: tuple, infinitary: bool = True):
+        if modulus < 1:
             raise ModuleValidationError("modulus must be >= 1")
-        for m in self.shape:
-            if m < 1 or self.modulus % m != 0:
+        for m in shape:
+            if m < 1 or modulus % m != 0:
                 raise ModuleValidationError(
-                    f"component order {m} must divide the modulus {self.modulus}")
-        object.__setattr__(self, "theory",
-                           AdditiveTheory(self.modulus, self.infinitary))
-        object.__setattr__(self, "cyclic",
-                           self.shape[0] if len(self.shape) == 1 else 0)
+                    f"component order {m} must divide the modulus {modulus}")
+        set_field(self, "modulus", modulus)
+        set_field(self, "shape", shape)
+        set_field(self, "infinitary", infinitary)
+        set_field(self, "theory", AdditiveTheory(modulus, infinitary))
+        set_field(self, "cyclic", shape[0] if len(shape) == 1 else 0)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.modulus == other.modulus
+                    and self.shape == other.shape
+                    and self.infinitary == other.infinitary)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.modulus, self.shape, self.infinitary))
 
     is_finite = True
 
@@ -231,21 +239,36 @@ class FiniteMod(ModuleInstance):
         return tuple(data)
 
 
-@dataclass(frozen=True)
 class Submodule(ModuleInstance):
     """The span of gens in a finite instance: members is its set of
     elements, which the builder closes under + from zero and gens, and a
     finite subset so closed is closed under negation and scalars too."""
 
-    parent: ModuleInstance
-    # the value is the sorted carrier, so equality, hash and repr skip the
-    # set and the generating set the builder passes on
-    members: set = field(repr=False, compare=False)
-    gens: tuple = field(repr=False, compare=False)
-    carrier: tuple = field(init=False)  # sorted tuple of parent elements
+    # the value is the parent and the sorted carrier, so equality, hash and
+    # repr skip the set and the generating set the builder passes on
+    __slots__ = ("parent", "members", "gens", "carrier")
+    _fields = ("parent", "carrier")
 
+    def __init__(self, parent: ModuleInstance, members: set, gens: tuple):
+        set_field(self, "parent", parent)
+        set_field(self, "members", members)
+        set_field(self, "gens", gens)
+        self.__post_init__()
+
+    # a method of its own, run once per construction: perfbench counts
+    # submodule builds through it
     def __post_init__(self):
-        object.__setattr__(self, "carrier", tuple(sorted(self.members)))
+        # the carrier: the members as a sorted tuple of parent elements
+        set_field(self, "carrier", tuple(sorted(self.members)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parent == other.parent
+                    and self.carrier == other.carrier)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parent, self.carrier))
 
     @property
     def theory(self):
@@ -291,12 +314,15 @@ class Submodule(ModuleInstance):
         return x
 
 
-@dataclass(frozen=True)
 class FreeSymbolic(ModuleInstance):
     """The module of formal terms over `generators`-many variables."""
 
-    theory: AdditiveTheory
-    generators: Ordinal
+    __slots__ = ("theory",       # an AdditiveTheory
+                 "generators")   # an Ordinal
+
+    def __init__(self, theory: AdditiveTheory, generators: Ordinal):
+        set_field(self, "theory", theory)
+        set_field(self, "generators", generators)
 
     is_finite = False
 

@@ -22,7 +22,7 @@ import functools
 import sys
 
 from .errors import (OrdinalUnderflowError, ParseError, ResourceLimitError,
-                     check_enumeration)
+                     check_enumeration, nesting_message)
 
 
 class Ordinal(tuple):
@@ -302,7 +302,10 @@ def parse_ordinal(text: str) -> Ordinal:
     p = _OrdParser(text)
     if not p.peek():
         p.fail("empty ordinal")
-    val = p.sum()
+    try:
+        val = p.sum()
+    except RecursionError:
+        raise ParseError(nesting_message()) from None
     if p.peek():
         p.fail(f"unexpected {p.peek()!r}")
     return val

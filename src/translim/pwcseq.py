@@ -13,13 +13,14 @@ never interprets them except to compare with == while coalescing.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     ParseError,
+    nesting_message,
 )
+from .frozen import Frozen, set_field
 from .ordinal import (
     ZERO,
     ONE,
@@ -44,11 +45,26 @@ def _normalize(pieces):
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class PwcSeq:
-    length: Ordinal
-    breakpoints: tuple  # (0, b_1, ..., length); just (0,) when length == 0
-    values: tuple       # one value per interval
+class PwcSeq(Frozen):
+    __slots__ = ("length",       # an Ordinal
+                 "breakpoints",  # (0, b_1, ..., length); (0,) when length == 0
+                 "values")       # one value per interval
+
+    # perfbench counts the pieces built from the positional `values`
+    def __init__(self, length, breakpoints, values):
+        set_field(self, "length", length)
+        set_field(self, "breakpoints", breakpoints)
+        set_field(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.length == other.length
+                    and self.breakpoints == other.breakpoints
+                    and self.values == other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.length, self.breakpoints, self.values))
 
     # -- constructors --------------------------------------------------------
 
@@ -214,7 +230,10 @@ def parse_pwc(text: str, parse_value) -> PwcSeq:
     pieces = []
     while True:
         p.space()
-        lo, hi = p.interval()
+        try:
+            lo, hi = p.interval()
+        except RecursionError:
+            raise ParseError(nesting_message()) from None
         p.space()
         if not text.startswith("->", p.pos):
             p.fail("interval must be followed by '->'")

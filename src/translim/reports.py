@@ -9,16 +9,18 @@ state ever enter a report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    case: str
-    alpha: str
-    instance: str
-    verdict: str  # "pass" | "fail"
-    witness: dict | None = None
+class CaseResult(Frozen):
+    __slots__ = ("case", "alpha", "instance",
+                 "verdict",  # "pass" | "fail"
+                 "witness")
+
+    def __init__(self, case: str, alpha: str, instance: str, verdict: str,
+                 witness: dict | None = None):
+        self._set_fields(case, alpha, instance, verdict, witness)
 
     def to_json(self) -> dict:
         return {
@@ -58,11 +60,11 @@ SUITE_REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    seed: int
-    cases: tuple
+class SuiteReport(Frozen):
+    __slots__ = ("suite", "seed", "cases")
+
+    def __init__(self, suite: str, seed: int, cases: tuple):
+        self._set_fields(suite, seed, cases)
 
     @property
     def total(self) -> int:

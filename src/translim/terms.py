@@ -31,15 +31,17 @@ descent over the text, with every ordinal in it read in place.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     ModuleValidationError,
+    ParseError,
     TheoryMismatchError,
     UnboundVariableError,
+    nesting_message,
 )
+from .frozen import Frozen, set_field
 from .ordinal import ONE, ZERO, Ordinal, _OrdParser, format_ordinal, from_int
 from .pwcseq import PwcSeq
 
@@ -47,8 +49,7 @@ from .pwcseq import PwcSeq
 # -- theories -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdditiveTheory:
+class AdditiveTheory(Frozen):
     """Z/n-linear theory: +, unary -, zero, scalars r*(-) for r in Z/n.
 
     With infinitary=True the theory also admits the formal Sum and Lim node
@@ -56,12 +57,22 @@ class AdditiveTheory:
     time (TheoryMismatch), which is what the finitary refutations exercise.
     """
 
-    modulus: int
-    infinitary: bool = True
+    __slots__ = ("modulus", "infinitary")
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, modulus: int, infinitary: bool = True):
+        if modulus < 1:
             raise ModuleValidationError("modulus must be >= 1")
+        set_field(self, "modulus", modulus)
+        set_field(self, "infinitary", infinitary)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.modulus == other.modulus
+                    and self.infinitary == other.infinitary)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.modulus, self.infinitary))
 
     def arity(self, op) -> int:
         if op == "+":
@@ -83,48 +94,86 @@ class AdditiveTheory:
 # -- term nodes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    index: Ordinal
+class Var(Frozen):
+    __slots__ = ("index",)  # an Ordinal
+
+    def __init__(self, index: Ordinal):
+        set_field(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def __repr__(self):
         return f"Var({format_ordinal(self.index)})"
 
 
-@dataclass(frozen=True, slots=True)
-class IndexVar:
+class IndexVar(Frozen):
     """The variable whose index is the position in the nearest enclosing family."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class App:
-    op: object          # str, or ("scal", r) for additive scalars
-    args: tuple = ()
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+
+class App(Frozen):
+    __slots__ = ("op",     # str, or ("scal", r) for additive scalars
+                 "args")   # a tuple of terms
+
+    def __init__(self, op, args: tuple = ()):
+        set_field(self, "op", op)
+        set_field(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.op == other.op and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.args))
 
     def __repr__(self):
         return f"App({self.op!r}, {list(self.args)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Sum:
-    length: Ordinal
-    family: PwcSeq
+class _Node(Frozen):
+    """A Sum or Lim node: a length and a family of terms of that length."""
 
-    def __post_init__(self):
-        if self.family.length != self.length:
+    __slots__ = ("length",   # an Ordinal
+                 "family")   # a PwcSeq of terms
+
+    def __init__(self, length: Ordinal, family: PwcSeq):
+        if family.length != length:
             raise LengthMismatchError(
-                f"family length {self.family.length} != node length {self.length}")
+                f"family length {family.length} != node length {length}")
+        set_field(self, "length", length)
+        set_field(self, "family", family)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.length == other.length and self.family == other.family
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.length, self.family))
 
 
-@dataclass(frozen=True, slots=True)
-class Lim:
-    length: Ordinal
-    family: PwcSeq
+class Sum(_Node):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family.length != self.length:
-            raise LengthMismatchError(
-                f"family length {self.family.length} != node length {self.length}")
+
+class Lim(_Node):
+    __slots__ = ()
 
 
 INDEX = IndexVar()
@@ -451,11 +500,14 @@ class _TermParser(_OrdParser):
 
 def parse_term(text: str, theory=None, variable_limit: Ordinal | None = None):
     p = _TermParser(text, blanks=False)
-    t = p.node()
-    if p.space():
-        p.fail("trailing input after term")
-    if theory is not None:
-        check_term(theory, t, variable_limit)
+    try:
+        t = p.node()
+        if p.space():
+            p.fail("trailing input after term")
+        if theory is not None:
+            check_term(theory, t, variable_limit)
+    except RecursionError:
+        raise ParseError(nesting_message()) from None
     return t
 
 

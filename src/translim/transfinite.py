@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 
 from . import sampling
 from .errors import (
@@ -52,6 +51,7 @@ from .errors import (
     check_enumeration,
 )
 from .instances import FiniteMod
+from .frozen import Frozen
 from .ordinal import (
     ONE,
     ZERO,
@@ -310,15 +310,15 @@ def check_prefix_independence(term, module, asg_a: PwcSeq, asg_b: PwcSeq,
     return None
 
 
-@dataclass(frozen=True)
-class LimitTermReport:
-    term: object
-    alpha: Ordinal
-    instance: str
-    constants_fixed: bool
-    prefix_independence: bool
-    trials: int
-    witness: dict | None
+class LimitTermReport(Frozen):
+    __slots__ = ("term", "alpha", "instance", "constants_fixed",
+                 "prefix_independence", "trials", "witness")
+
+    def __init__(self, term, alpha: Ordinal, instance: str,
+                 constants_fixed: bool, prefix_independence: bool,
+                 trials: int, witness: dict | None):
+        self._set_fields(term, alpha, instance, constants_fixed,
+                         prefix_independence, trials, witness)
 
     @property
     def passed(self) -> bool:
@@ -371,18 +371,18 @@ def verify_limit_term(term, alpha: Ordinal, module, *, trials: int = 200,
 # -- existence of finitary limit terms ------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefutationWitness:
+class RefutationWitness(Frozen):
     """A concrete violation of one of the limit-term laws by a candidate."""
 
-    kind: str  # "constants" or "prefix"
-    module: FiniteMod
-    assignment_a: PwcSeq
-    assignment_b: PwcSeq | None
-    beta: Ordinal | None
-    value_a: object
-    value_b: object
-    expected: object | None
+    __slots__ = ("kind",  # "constants" or "prefix"
+                 "module", "assignment_a", "assignment_b", "beta",
+                 "value_a", "value_b", "expected")
+
+    def __init__(self, kind: str, module: FiniteMod, assignment_a: PwcSeq,
+                 assignment_b: PwcSeq | None, beta: Ordinal | None, value_a,
+                 value_b, expected):
+        self._set_fields(kind, module, assignment_a, assignment_b, beta,
+                         value_a, value_b, expected)
 
     def to_json(self) -> dict:
         fmt = self.module.format_element
@@ -401,8 +401,7 @@ class RefutationWitness:
         return out
 
 
-@dataclass(frozen=True)
-class FinitaryLimitVerdict:
+class FinitaryLimitVerdict(Frozen):
     """Whether any finitary term of arity alpha satisfies the limit laws.
 
     For successor alpha the last-coordinate projection works, and over the
@@ -413,10 +412,11 @@ class FinitaryLimitVerdict:
     beyond every variable the term mentions.
     """
 
-    modulus: int
-    alpha: Ordinal
-    exists: bool
-    witness_term: object | None = None
+    __slots__ = ("modulus", "alpha", "exists", "witness_term")
+
+    def __init__(self, modulus: int, alpha: Ordinal, exists: bool,
+                 witness_term=None):
+        self._set_fields(modulus, alpha, exists, witness_term)
 
     def challenge(self, term) -> RefutationWitness:
         if self.exists:

@@ -11,6 +11,8 @@ whose malformed interval the reference tokenizer found before a fault
 earlier in the text.
 """
 
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -462,3 +464,23 @@ def test_blanks_inside_an_exponent_read_as_the_references_read_them(
         text, outcome):
     assert _outcome(parse_term, text) == _outcome(ref_parse_term, text)
     assert _outcome(parse_term, text)[0] == outcome
+
+
+DEEP_EXPONENT = "w^(" * 3000 + "1" + ")" * 3000
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_ordinal, DEEP_EXPONENT),
+    (parse_ordinal, "w^" * 3000 + "1"),
+    (lambda text: parse_pwc(text, int), f"[0,{DEEP_EXPONENT}) -> 1"),
+    (parse_term, "(- " * 3000 + "x0" + ")" * 3000),
+    (parse_term, f"(+ x{DEEP_EXPONENT} x0)"),
+], ids=["ordinal-parens", "ordinal-bare", "pwc-interval", "term-nodes",
+        "term-variable"])
+def test_text_nested_past_the_recursion_limit_is_a_parse_error(parse, text):
+    # the message the CLI prints for it, so its stderr is the same either way
+    message = (f"input nests deeper than the recursion limit "
+               f"({sys.getrecursionlimit()})")
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message and info.value.position is None
