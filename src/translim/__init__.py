@@ -22,8 +22,8 @@ from .terms import (INDEX, ZERO_TERM, AdditiveTheory, App, IndexVar, Lim,
                     format_term, parse_term, scal, substitute,
                     substitute_family, sum_term, var, variable_ceiling)
 from .instances import (FiniteMod, FreeSymbolic, Homomorphism, Submodule,
-                        image, is_regular_epi, parse_instance,
-                        parse_theory, standard_battery, zero_module)
+                        is_regular_epi, parse_instance, parse_theory,
+                        standard_battery, zero_module)
 from .transfinite import (FinitaryLimitVerdict, LimitTermReport,
                           RefutationWitness, build_lim_term,
                           check_constants_fixed, check_prefix_independence,

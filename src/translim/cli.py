@@ -299,11 +299,13 @@ def _cmd_diagram_check(args) -> int:
 
 
 def _cmd_diagram_limit(args) -> int:
-    # list the threads over the prefix levels
+    # list the threads over the prefix levels, and over w one level past
+    # them, where the tail takes over; a finite index has no level past
     system = _load_system(args.file)
     lobj = diagrams.limit_object(system)
+    shown = system.height + 1 if system.index == OMEGA else system.height
     threads = [[system.level(j).format_element(lobj.coordinate(x, j))
-                for j in range(system.height + 1)]
+                for j in range(shown)]
                for x in sorted(lobj.elements())]
     lines = [f"limit: {len(threads)} threads, depth {lobj.depth}"]
     lines += ["  " + " <- ".join(coords) for coords in threads]

@@ -398,7 +398,8 @@ def check_inverse_limit_surjectivity(phi: SystemMorphism) -> SurjectivityReport:
         limit_epi=not missed,
         source_depth=ls.depth,
         target_depth=lt.depth,
-        missed=lt.carrier.format_element(missed[0]) if missed else None,
+        missed=(lt.carrier.parent.format_element(missed[0]) if missed
+                else None),
     )
 
 
@@ -532,14 +533,17 @@ def _field(data, key):
 def system_from_json(data: dict) -> InverseSystem:
     if not isinstance(data, dict):
         raise ParseError("diagram: expected an object")
-    idx_text = _field(data, "index")
-    if idx_text == "w":
+    idx = _field(data, "index")
+    if idx == "w":
         index = OMEGA
     else:
-        try:
-            n = int(idx_text)
-        except (TypeError, ValueError):
-            n = 0
+        # a JSON integer that is no bool, or the digits system_to_json writes
+        n = idx if type(idx) is int else 0
+        if isinstance(idx, str) and idx.isascii() and idx.isdigit():
+            try:
+                n = int(idx)
+            except ValueError:  # past the interpreter's digit limit
+                pass
         if n < 1:
             raise ParseError('diagram.index: expected "w" or an integer '
                              'string of at least 1')

@@ -1,15 +1,18 @@
 """Module instances: carriers on which terms are evaluated.
 
-Two concrete kinds plus submodules:
+Two kinds of module:
 
   FiniteMod(n, shape)   product of cyclic groups Z/shape[i] (each shape[i]
                         dividing n) with Z/n acting by multiplication;
                         elements are int tuples.
   FreeSymbolic(th, X)   the module of formal terms over X; operations build
                         term nodes, nothing is reduced.
+
+and one carrier that is not a module of its own:
+
   Submodule(parent, S, gens)
-                        the span S of gens in a finite instance: the image
-                        of a map, or the stable image of a limit.
+                        the span S of gens in a FiniteMod: the stable
+                        image of a limit, whose elements add in the parent.
 
 The infinitary sum is partial everywhere: a family may be summed exactly when
 its nonzero part is finite, and a divergent request raises DivergentSumError
@@ -26,10 +29,9 @@ generators it holds, so nothing is left to check.  A rejection names its
 witness.
 
 Tables that hold by construction are built without a module operation per
-element: a linear extension, or the identity or zero map out of a FiniteMod,
-as one integer list per codomain coordinate when the table is first read;
-other identity, zero and inclusion tables with dict(zip(...)) and
-dict.fromkeys.
+element: a linear extension, the identity or the zero map out of a
+FiniteMod, as one integer list per codomain coordinate when the table is
+first read.
 """
 
 from __future__ import annotations
@@ -99,10 +101,6 @@ class ModuleInstance(Frozen):
                     "family has a nonzero value on an infinite interval")
             total = self.add(total, self.scal(n, v))
         return total
-
-    @property
-    def size(self):
-        return len(self.elements())
 
 
 class FiniteMod(ModuleInstance):
@@ -239,17 +237,18 @@ class FiniteMod(ModuleInstance):
         return tuple(data)
 
 
-class Submodule(ModuleInstance):
-    """The span of gens in a finite instance: members is its set of
+class Submodule(Frozen):
+    """The span of gens in a FiniteMod, as a carrier: members is its set of
     elements, which the builder closes under + from zero and gens, and a
-    finite subset so closed is closed under negation and scalars too."""
+    finite subset so closed is closed under negation and scalars too.  It
+    is no module of its own: its elements add as they do in the parent."""
 
     # the value is the parent and the sorted carrier, so equality, hash and
     # repr skip the set and the generating set the builder passes on
     __slots__ = ("parent", "members", "gens", "carrier")
     _fields = ("parent", "carrier")
 
-    def __init__(self, parent: ModuleInstance, members: set, gens: tuple):
+    def __init__(self, parent: FiniteMod, members: set, gens: tuple):
         set_field(self, "parent", parent)
         set_field(self, "members", members)
         set_field(self, "gens", gens)
@@ -274,22 +273,8 @@ class Submodule(ModuleInstance):
     def theory(self):
         return self.parent.theory
 
-    is_finite = True
-
     def zero(self):
         return self.parent.zero()
-
-    def add(self, a, b):
-        return self.parent.add(a, b)
-
-    def neg(self, a):
-        return self.parent.neg(a)
-
-    def sub(self, a, b):
-        return self.parent.sub(a, b)
-
-    def scal(self, r, a):
-        return self.parent.scal(r, a)
 
     def elements(self):
         return list(self.carrier)
@@ -303,15 +288,6 @@ class Submodule(ModuleInstance):
     @property
     def literal(self):
         return f"sub[{len(self.carrier)}] of {self.parent.literal}"
-
-    def format_element(self, x):
-        return self.parent.format_element(x)
-
-    def parse_element(self, text):
-        x = self.parent.parse_element(text)
-        if x not in self.members:
-            raise ParseError(f"{text.strip()!r} is not in {self.literal}")
-        return x
 
 
 class FreeSymbolic(ModuleInstance):
@@ -463,23 +439,15 @@ class Homomorphism:
         return hom
 
     @staticmethod
-    def identity(module):
-        if isinstance(module, FiniteMod):
-            module._check_size()
-            return Homomorphism._linear(module, module, module.generators())
-        elems = module.elements()
-        return Homomorphism(module, module, dict(zip(elems, elems)),
-                            _checked=True)
+    def identity(module: FiniteMod):
+        module._check_size()
+        return Homomorphism._linear(module, module, module.generators())
 
     @staticmethod
-    def zero_map(domain, codomain):
-        z = codomain.zero()
-        if isinstance(domain, FiniteMod):
-            domain._check_size()
-            return Homomorphism._linear(domain, codomain,
-                                        [z] * len(domain.shape))
-        return Homomorphism(domain, codomain,
-                            dict.fromkeys(domain.elements(), z), _checked=True)
+    def zero_map(domain: FiniteMod, codomain):
+        domain._check_size()
+        return Homomorphism._linear(domain, codomain,
+                                    [codomain.zero()] * len(domain.shape))
 
     # -- use -------------------------------------------------------------------
 
@@ -508,15 +476,6 @@ class Homomorphism:
 # -- module-level operations -----------------------------------------------------
 
 
-def image(f: Homomorphism):
-    """The set-image, spanned by the generator images, and its inclusion."""
-    sub = Submodule(f.codomain, set(f.table.values()),
-                    tuple(f(g) for g in f.domain.generators()))
-    incl = Homomorphism(sub, f.codomain, dict(zip(sub.carrier, sub.carrier)),
-                        _checked=True)
-    return sub, incl
-
-
 def is_regular_epi(f: Homomorphism) -> bool:
     """Surjectivity; regular epimorphisms of modules are exactly these.
     Every value lies in the codomain, so the map is onto exactly when it
@@ -530,7 +489,7 @@ def _linear_table(domain: FiniteMod, codomain, images) -> dict:
     sum_i x_i * images[i][j] mod the j-th order, one list in elements()
     order per j.  A free codomain has no orders, so every value is its
     zero, which is the image of every generator that gets here."""
-    orders = _underlying(codomain).shape if codomain.is_finite else ()
+    orders = codomain.shape if codomain.is_finite else ()
     columns = []
     for j, n in enumerate(orders):
         col = [0]
@@ -544,10 +503,8 @@ def _linear_table(domain: FiniteMod, codomain, images) -> dict:
 
 
 def _underlying(module):
-    """The module a tower of submodules sits in (module itself if none)."""
-    while isinstance(module, Submodule):
-        module = module.parent
-    return module
+    """The module a submodule sits in (module itself if none)."""
+    return module.parent if isinstance(module, Submodule) else module
 
 
 def zero_module(modulus: int, infinitary: bool = True) -> FiniteMod:

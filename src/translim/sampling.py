@@ -19,11 +19,9 @@ from .ordinal import OMEGA, ZERO, Ordinal, _sample_grid, left_subtract
 from .pwcseq import PwcSeq
 
 
-def random_element(rng, module):
-    """The draw of rng.choice(module.elements()); a FiniteMod decodes the
-    index in mixed radix, last coordinate fastest, and lists no carrier."""
-    if not isinstance(module, FiniteMod):
-        return rng.choice(module.elements())
+def random_element(rng, module: FiniteMod):
+    """The draw of rng.choice(module.elements()), decoded from the index in
+    mixed radix, last coordinate fastest, with no carrier listed."""
     index = rng.randrange(math.prod(module.shape))
     digits = []
     for m in reversed(module.shape):

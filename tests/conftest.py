@@ -6,8 +6,8 @@ import hypothesis.strategies as st
 import pytest
 
 from translim import (INDEX, OMEGA, ONE, ZERO, ZERO_TERM, App,
-                      DivergentSumError, FiniteMod, Homomorphism, Lim, PwcSeq,
-                      Sum, Var, from_int, image, omega_power, parse_ordinal,
+                      DivergentSumError, FiniteMod, Lim, PwcSeq, Sum, Var,
+                      from_int, omega_power, parse_ordinal,
                       sample_points_below, scal, standard_battery)
 from translim.ordinal import interval_cardinality
 from translim.sampling import random_pwc
@@ -50,18 +50,6 @@ def pwc_over(draw, module_strategy=battery_modules, alpha_strategy=None,
     return module, PwcSeq.from_pieces(pieces)
 
 
-@st.composite
-def battery_or_submodules(draw):
-    """A standard_battery() instance, or its image under x -> r*x: a
-    Submodule, whose operations are those of its parent."""
-    module = draw(battery_modules)
-    if draw(st.booleans()):
-        return module
-    r = draw(st.integers(0, module.modulus))
-    return image(Homomorphism.from_function(
-        module, module, lambda x: module.scal(r, x)))[0]
-
-
 # the grid below a coefficient c lists every step up to it, so random_pwc
 # cuts these lengths into finite pieces of up to thousands of points, next
 # to infinite pieces that make a nonzero value divergent
@@ -72,7 +60,7 @@ LONG_LENGTHS = [parse_ordinal(t) for t in
 @st.composite
 def random_pwc_over(draw):
     """(module, sampling.random_pwc family) pairs on LONG_LENGTHS."""
-    module = draw(battery_or_submodules())
+    module = draw(battery_modules)
     alpha = draw(st.sampled_from(LONG_LENGTHS))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     return module, random_pwc(rng, module, alpha)
@@ -186,8 +174,7 @@ def reference_scal(module, r, a):
 
 @pytest.fixture
 def module_ops(monkeypatch):
-    """A one-item list counting FiniteMod.add, neg, sub and scal calls,
-    which a Submodule's operations make too."""
+    """A one-item list counting FiniteMod.add, neg, sub and scal calls."""
     count = [0]
     for name in ("add", "neg", "sub", "scal"):
         method = getattr(FiniteMod, name)

@@ -421,6 +421,27 @@ def test_diagram_limit_on_a_large_constant_system_is_not_quadratic(
     assert took < 1.0
 
 
+def test_diagram_limit_lists_only_the_levels_of_a_finite_index(
+        capsys, tmp_path):
+    # level 2 of a height-2 finite system does not exist, so each thread
+    # has the two coordinates of its prefix and no tail coordinate
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps({
+        "index": "2", "theory": "add-inf mod 4", "prefix": ["Z/4", "Z/4"],
+        "tail": None, "maps": [[[[x], [2 * x % 4]] for x in range(4)]]}),
+        encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagram", "limit", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["limit: 4 threads, depth 0", "  0 <- 0",
+                                "  2 <- 1", "  0 <- 2", "  2 <- 3"]
+    code, out, err = run_cli(capsys, "diagram", "limit", str(path), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["depth"] == 0
+    assert payload["threads"] == [["0", "0"], ["2", "1"], ["0", "2"],
+                                  ["2", "3"]]
+
+
 def test_diagram_check_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "diagram", "check",
                            str(tmp_path / "nope.json"))
@@ -451,7 +472,7 @@ BAD_LEVEL = "bad-level:"  # argv placeholder for a diagram file with that level
 BAD_THEORY = "bad-theory:"  # ... with that JSON text as its theory
 BAD_INDEX = "bad-index:"  # ... with that index string
 BAD_MAPS = "bad-maps:"  # ... with that JSON text as its maps
-NESTED = "nested:"  # argv placeholder for a file of that many '['
+TEXT = "text:"  # argv placeholder for a file holding that text
 DEEP = "recursion limit"
 # the longest number the interpreter converts from text: the sum of two
 # of them has one digit more
@@ -479,9 +500,9 @@ def _argv_file(tmp_path, arg) -> str:
     if arg.startswith(BAD_MAPS):
         return _diagram_with_level(tmp_path, "Z/2",
                                    maps=json.loads(arg[len(BAD_MAPS):]))
-    if arg.startswith(NESTED):
-        path = tmp_path / "nested.json"
-        path.write_text("[" * int(arg[len(NESTED):]), encoding="utf-8")
+    if arg.startswith(TEXT):
+        path = tmp_path / "text.json"
+        path.write_text(arg[len(TEXT):], encoding="utf-8")
         return str(path)
     return arg
 
@@ -505,7 +526,8 @@ def _argv_file(tmp_path, arg) -> str:
      "--trials must be at least 0"),
     (("ordinal", "fmt", "w^" * 3000 + "1"), DEEP),
     (("term", "parse", "(- " * 3000 + "x0" + ")" * 3000), DEEP),
-    (("diagram", "check", NESTED + "100000"), DEEP),
+    (("diagram", "check", TEXT + "[" * 100000), DEEP),
+    (("diagram", "check", TEXT + "[]"), "diagram: expected an object"),
     # the finitary diagonal term for 600 is a 599-deep chain of +
     (("check", "ab5", "--ring", "2", "--set", "600", "--theory", "fin-add",
       "--trials", "2"), DEEP),
@@ -583,7 +605,7 @@ def _argv_file(tmp_path, arg) -> str:
 ], ids=["sample-mod-0", "sample-mod-negative", "level-not-dividing",
         "level-order-0", "level-free", "theory-not-string", "ab5-set-w2", "refute-mod-0",
         "limterm-trials", "ab5-trials", "deep-ordinal", "deep-term",
-        "deep-json", "ab5-deep-diagonal", "ordinal-sub-underflow",
+        "deep-json", "diagram-not-object", "ab5-deep-diagonal", "ordinal-sub-underflow",
         "ordinal-sub-underflow-w", "limterm-build-alpha-0",
         "check-limterm-alpha-0", "refute-alpha-0", "diagram-index-0",
         "diagram-index-negative", "diagram-map-boolean",

@@ -664,7 +664,10 @@ def test_system_json_round_trip():
     data = json.loads(json.dumps(system_to_json(capped)))
     assert system_from_json(data) == capped
     fin = InverseSystem(from_int(2), (Z4, Z4), (MULT2,), None)
-    assert system_from_json(json.loads(json.dumps(system_to_json(fin)))) == fin
+    data = json.loads(json.dumps(system_to_json(fin)))
+    assert data["index"] == "2" and system_from_json(data) == fin
+    data["index"] = 2  # a JSON integer names the same index
+    assert system_from_json(data) == fin
 
 
 @given(st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
@@ -679,9 +682,17 @@ def test_sampled_system_json_round_trip(modulus, infinitary, seed):
 @pytest.mark.parametrize("mangle,needle", [
     (lambda d: d.pop("index"), "missing field 'index'"),
     (lambda d: d.update(index="w^2"), "diagram.index"),
+    # only "w", a JSON integer and a string of digits name an index
+    *(pytest.param(lambda d, v=v: d.update(index=v), "diagram.index",
+                   id=f"index-{name}")
+      for name, v in (("float", 2.9), ("bool", True), ("underscore", "2_0"),
+                      ("space", " 2"), ("sign", "+2"),
+                      ("too-many-digits", "9" * 5000))),
     (lambda d: d.update(prefix=[]), "diagram.prefix"),
     (lambda d: d.update(prefix=["Z/4", 7]), r"diagram.prefix\[1\]"),
     (lambda d: d.update(maps=[]), "diagram.maps"),
+    (lambda d: d["maps"].__setitem__(0, 5),
+     r"maps\[0\]: expected a list of pairs"),
     (lambda d: d["maps"][0].append([[0], [0]]), r"maps\[0\]\[4\]: duplicate"),
     (lambda d: d["maps"][0].__setitem__(0, [[0]]), r"maps\[0\]\[0\]"),
     (lambda d: d["maps"][0].__setitem__(0, [[0], [3]]), r"maps\[0\]"),

@@ -15,14 +15,6 @@ import translim
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = Path(translim.__file__).parent
 
-# names kept public on purpose although nothing calls them yet
-ALLOWED = {
-    # the set-image of a homomorphism; carrier-free finite modules (spans
-    # in Howell form) are planned to build on it
-    "instances.image",
-}
-
-
 def _mentioned(node):
     return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
@@ -50,6 +42,5 @@ def test_every_public_name_has_a_library_or_demo_use():
                 names.discard(stmt.name)
             used |= names
     assert len(defined) > 100
-    unused = [q for q in defined
-              if q.split(".")[1] not in used and q not in ALLOWED]
+    unused = [q for q in defined if q.split(".")[1] not in used]
     assert unused == []

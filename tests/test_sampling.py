@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from conftest import battery_or_submodules, ordinals
+from conftest import battery_modules, ordinals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,7 +110,7 @@ def reference_support_family(rng, module, alpha):
 
 
 @settings(max_examples=300, deadline=None)
-@given(battery_or_submodules(), ordinals(max_depth=3),
+@given(battery_modules, ordinals(max_depth=3),
        st.integers(0, 2 ** 32))
 def test_families_are_drawn_as_the_reference_draws_them(module, alpha, seed):
     new, old = random.Random(seed), random.Random(seed)
