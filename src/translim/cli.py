@@ -9,6 +9,10 @@ identical argv plus seed produce identical bytes.  Exit codes: 0 success,
 1 check failure, 2 usage or parse error (input nested past the recursion
 limit, a ResourceLimitError and the row's usage errors included).
 
+The module imports only the parsers and the module layer; a handler that
+needs the evaluators, diagrams, sampling, the audit or the suites imports
+them when it runs, so `translim ordinal` never reads them.
+
 Seed echoing: subcommands that consume randomness (check, suite, diagram
 sample) always state their seed.  The pure calculator subcommands take no
 seed and print the bare result.
@@ -23,16 +27,15 @@ import random
 import sys
 from typing import Callable, NamedTuple
 
-from . import ab5check, diagrams, sampling, suites, transfinite
 from .errors import (InfiniteCarrierError, InvalidAlphaError,
                      OrdinalUnderflowError, ParseError, ResourceLimitError,
                      TheoryMismatchError, TranslimError, UnboundVariableError,
                      nesting_message)
-from .instances import FiniteMod, parse_instance, standard_battery
+from .instances import (FiniteMod, parse_instance, parse_theory,
+                        standard_battery)
 from .ordinal import (OMEGA, compare, format_ordinal, left_subtract,
                       parse_ordinal, sample_points_below)
 from .pwcseq import parse_pwc
-from .instances import parse_theory
 from .terms import AdditiveTheory, evaluate, format_term, parse_term, sum_term
 
 
@@ -89,6 +92,7 @@ def _cmd_term_eval(args) -> int:
 
 
 def _cmd_limterm_build(args) -> int:
+    from . import transfinite
     text = format_term(transfinite.build_lim_term(parse_ordinal(args.alpha)))
     _emit(args, [text], {"term": text, "alpha": args.alpha})
     return 0
@@ -100,7 +104,8 @@ def _cmd_sumterm_build(args) -> int:
     return 0
 
 
-def _eval_family(args, evaluator) -> int:
+def _eval_family(args, evaluator: str) -> int:
+    from . import transfinite
     alpha = parse_ordinal(args.alpha)
     module = parse_instance(args.module)
     fam = parse_pwc(args.seq, module.parse_element)
@@ -108,13 +113,15 @@ def _eval_family(args, evaluator) -> int:
         raise ParseError(
             f"--seq covers {format_ordinal(fam.length)} but --alpha is "
             f"{format_ordinal(alpha)}")
-    value = module.format_element(evaluator(module, fam))
+    value = module.format_element(
+        getattr(transfinite, evaluator)(module, fam))
     _emit(args, [value], {"alpha": args.alpha, "module": module.literal,
                           "value": value})
     return 0
 
 
 def _cmd_sumterm_restrict(args) -> int:
+    from . import transfinite
     # sum a shorter family inside a longer index
     alpha = parse_ordinal(args.alpha)
     module = parse_instance(args.module)
@@ -146,6 +153,7 @@ def _positive_ordinal(text: str, flag: str):
 
 
 def _cmd_check_limterm(args) -> int:
+    from . import transfinite
     _check_trials(args)
     alpha = _positive_ordinal(args.alpha, "--alpha")
     modules = ([parse_instance(args.module)] if args.module
@@ -176,6 +184,7 @@ def _cmd_check_limterm(args) -> int:
 
 
 def _cmd_check_ab5(args) -> int:
+    from . import ab5check
     if args.ring is not None and args.mod is not None \
             and args.ring != args.mod:
         raise ParseError("--ring and --mod disagree")
@@ -215,6 +224,7 @@ def _cmd_check_ab5(args) -> int:
 
 
 def _cmd_check_refute(args) -> int:
+    from . import transfinite
     if args.mod < 1:
         raise ParseError("the modulus must be at least 1")
     alpha = _positive_ordinal(args.alpha, "--alpha")
@@ -256,6 +266,7 @@ def _cmd_check_refute(args) -> int:
 
 
 def _load_system(path: str):
+    from . import diagrams
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -267,6 +278,7 @@ def _load_system(path: str):
 
 
 def _cmd_diagram_sample(args) -> int:
+    from . import diagrams, sampling
     if args.mod < 1:
         raise ParseError("the modulus must be at least 1")
     rng = random.Random(args.seed)
@@ -278,6 +290,7 @@ def _cmd_diagram_sample(args) -> int:
 
 
 def _cmd_diagram_check(args) -> int:
+    from . import diagrams
     system = _load_system(args.file)
     lobj = diagrams.limit_object(system)
     levels = [lv.literal for lv in system.prefix]
@@ -299,6 +312,7 @@ def _cmd_diagram_check(args) -> int:
 
 
 def _cmd_diagram_limit(args) -> int:
+    from . import diagrams
     # list the threads over the prefix levels, and over w one level past
     # them, where the tail takes over; a finite index has no level past
     system = _load_system(args.file)
@@ -317,6 +331,7 @@ def _cmd_diagram_limit(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from . import suites
     reports = suites.run_suite(args.name, args.seed)
     ok = all(r.ok for r in reports)
     lines = []
@@ -382,12 +397,12 @@ COMMANDS = (
     Command(("limterm", "build"), _cmd_limterm_build, (_ALPHA, _JSON),
             usage_errors=(InvalidAlphaError,)),
     Command(("limterm", "eval"),
-            lambda args: _eval_family(args, transfinite.lim_eval),
+            lambda args: _eval_family(args, "lim_eval"),
             (*_FAMILY, _JSON),
             usage_errors=(TheoryMismatchError,)),
     Command(("sumterm", "build"), _cmd_sumterm_build, (_ALPHA, _JSON)),
     Command(("sumterm", "eval"),
-            lambda args: _eval_family(args, transfinite.sum_eval_from_lim),
+            lambda args: _eval_family(args, "sum_eval_from_lim"),
             (*_FAMILY, _JSON),
             usage_errors=(TheoryMismatchError,)),
     Command(("sumterm", "restrict"), _cmd_sumterm_restrict, (*_FAMILY, _JSON),

@@ -418,28 +418,47 @@ class SectionReport(Frozen):
                 "passed": self.passed, "witness": self.witness}
 
 
-def retract_product_element(system: InverseSystem, coord, bound: int,
-                            gamma: int):
-    """Level-gamma retraction value for a product element given by coord.
+def retract_product_levels(system: InverseSystem, coord, bound: int,
+                           levels: int) -> list:
+    """The retraction of a product element at each level 0..levels-1.
 
     coord(j) is the j-th coordinate; it must be a thread from `bound` on.
-    The value is the limit of the pushdowns of the coordinates above gamma,
-    evaluated with the difference-and-sum recursion.  Each level from gamma
-    to the last one is a piece of length 1, except that over omega the
-    last piece, at the first level past `bound`, runs to omega.  The
-    pieces tile [0, end) by construction.
+    The level-gamma value is the limit of the pushdowns of the coordinates
+    from gamma on, evaluated with the difference-and-sum recursion.  Each
+    level from gamma to the last one is a piece of length 1, except that
+    over omega the last piece, at the first level past `bound`, runs to
+    omega.  The pieces tile [0, end) by construction.
+
+    One walk down the levels reads each coordinate once: the pushdowns to
+    level gamma are those to gamma+1 moved one map further, one table
+    lookup each (none for the identity steps of a constant tail).
     """
-    if system.index == OMEGA:
-        last = max(bound, gamma) + 1
-        end = OMEGA
-    else:
-        last = system.height - 1
-        end = from_int(last - gamma + 1)
-    pieces = [(from_int(j - gamma),
-               from_int(j - gamma + 1) if j < last else end,
-               system.push_down(coord(j), j, gamma))
-              for j in range(gamma, last + 1)]
-    return lim_eval(system.level(gamma), PwcSeq._from_pieces(end, pieces))
+    omega = system.index == OMEGA
+    top = system.height - 1
+
+    def last(gamma):
+        return max(bound, gamma) + 1 if omega else top
+
+    # level gamma has last(gamma) - gamma + 1 pieces, the most at level 0
+    cuts = [from_int(i) for i in range(last(0) + 2)]
+    out = [None] * levels
+    for gamma in range(levels - 1, -1, -1):
+        if gamma == levels - 1:
+            down = [system.push_down(coord(j), j, gamma)
+                    for j in range(gamma, last(gamma) + 1)]
+        else:
+            kept = down[:last(gamma) - gamma]
+            if gamma < top or system.tail == "repeat-last-block":
+                f = system.maps[gamma] if gamma < top else system.tail_map
+                step = f.table
+                kept = [step[x] for x in kept]
+            down = [coord(gamma)] + kept
+        n = len(down)
+        end = OMEGA if omega else cuts[n]
+        pieces = list(zip(cuts, cuts[1:n] + [end], down))
+        out[gamma] = lim_eval(system.level(gamma),
+                              PwcSeq._from_pieces(end, pieces))
+    return out
 
 
 def lim_to_prod_section_check(system: InverseSystem, *, trials: int = 20,
@@ -478,10 +497,11 @@ def lim_to_prod_section_check(system: InverseSystem, *, trials: int = 20,
         def pure(j, t=t):
             return lobj.coordinate(t, j)
 
-        for gamma in range(levels_checked):
+        with_junk = retract_product_levels(system, coord, junk_len,
+                                           levels_checked)
+        pure_thread = retract_product_levels(system, pure, 0, levels_checked)
+        for gamma, (got, same) in enumerate(zip(with_junk, pure_thread)):
             expected = lobj.coordinate(t, gamma)
-            got = retract_product_element(system, coord, junk_len, gamma)
-            same = retract_product_element(system, pure, 0, gamma)
             if got != expected or same != expected:
                 witness = {
                     "trial": trial,

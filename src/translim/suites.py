@@ -265,11 +265,13 @@ def _retraction_naturality(phi, rng):
     def mapped(j):
         return phi.hom_at(j)(coord(j))
 
-    for gamma in range(src.height + 1):
-        through_source = phi.hom_at(gamma)(
-            diagrams.retract_product_element(src, coord, junk_len, gamma))
-        through_target = diagrams.retract_product_element(
-            tgt, mapped, junk_len, gamma)
+    levels = src.height + 1
+    retracted = diagrams.retract_product_levels(src, coord, junk_len, levels)
+    retracted_image = diagrams.retract_product_levels(tgt, mapped, junk_len,
+                                                      levels)
+    for gamma, (x, through_target) in enumerate(zip(retracted,
+                                                    retracted_image)):
+        through_source = phi.hom_at(gamma)(x)
         if through_source != through_target:
             lvl = tgt.level(gamma)
             return False, {

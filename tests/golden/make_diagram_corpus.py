@@ -1,9 +1,11 @@
 """Regenerate diagram_corpus.json: CLI argv lists with output digests.
 
 The corpus covers `diagram sample --mod 2..8 --seed 0..4`, `diagram check`
-and `diagram limit` (text and --json) on each sample, `suite run all
---seed 0..2`, and `check ab5` for rings 1..4 x sets 1, 3, 4, w x both
-theories, text and --json.  It also covers the ordinal calculator on
+and `diagram limit` (text and --json) on each sample and on the committed
+finite-index files FINITE_DIAGRAMS, `suite run all --seed 0..2`, and
+`check ab5` for rings 1..4 x sets 1, 3, 4, w x both theories and for ring
+2 at set 60 under inf-add, whose product retraction runs over 61 levels,
+text and --json.  It also covers the ordinal calculator on
 nested exponents (`ordinal add/sub/cmp` on every ordered pair of ORDINALS,
 `ordinal fmt/points` on each), and `check limterm`, `limterm build` and
 `sumterm build` on LIMTERM_ALPHAS x LIMTERM_MODULES, text and --json.
@@ -20,7 +22,8 @@ assignment `[0,w)->idx`, text and --json.
 Each entry is an argv list plus the sha256 of the JSON text of
 [exit code, stdout, stderr] that `translim.cli.main(argv)` produces.  An
 argv item of the form "@sample:<mod>:<seed>" stands for a file holding the
-stdout of `diagram sample --mod <mod> --seed <seed>`.
+stdout of `diagram sample --mod <mod> --seed <seed>`, and one of the form
+"@golden:<name>" for the file of that name next to this script.
 
 Run from the repository root after an intentional output change:
 
@@ -42,6 +45,12 @@ from translim.cli import main
 
 CORPUS = pathlib.Path(__file__).with_name("diagram_corpus.json")
 SAMPLE = "@sample:"
+COMMITTED = "@golden:"
+
+# finite-index diagram files: index 3 as a digit string over add-inf, and
+# index 2 as a JSON integer over add-fin with a two-component level
+FINITE_DIAGRAMS = ["diagram_finite_tower_mod8.json",
+                   "diagram_finite_pair_mod4.json"]
 
 # Ordinals with nested exponents; "3+w^(w+1)+w^(w+1)*2" is a non-canonical
 # spelling that must normalize.
@@ -105,6 +114,10 @@ def argv_lists():
             for verb in ("check", "limit"):
                 runs.append(["diagram", verb, ref])
                 runs.append(["diagram", verb, ref, "--json"])
+    for name in FINITE_DIAGRAMS:
+        for verb in ("check", "limit"):
+            argv = ["diagram", verb, f"{COMMITTED}{name}"]
+            runs += [argv, argv + ["--json"]]
     for seed in range(3):
         runs.append(["suite", "run", "all", "--seed", str(seed)])
     for ring in range(1, 5):
@@ -113,6 +126,9 @@ def argv_lists():
                 argv = ["check", "ab5", "--ring", str(ring), "--set", index,
                         "--theory", theory]
                 runs += [argv, argv + ["--json"]]
+    argv = ["check", "ab5", "--ring", "2", "--set", "60", "--theory",
+            "inf-add"]
+    runs += [argv, argv + ["--json"]]
     for op in ("add", "sub", "cmp"):
         for a in ORDINALS:
             for b in ORDINALS:
@@ -180,10 +196,13 @@ def digest(result):
 
 
 def expand(argv, workdir):
-    """argv with every sample reference replaced by a written sample file."""
+    """argv with every sample reference replaced by a written sample file
+    and every committed-file reference by its path."""
     out = []
     for arg in argv:
-        if arg.startswith(SAMPLE):
+        if arg.startswith(COMMITTED):
+            arg = str(CORPUS.with_name(arg[len(COMMITTED):]))
+        elif arg.startswith(SAMPLE):
             mod, seed = arg[len(SAMPLE):].split(":")
             path = pathlib.Path(workdir) / f"sample_{mod}_{seed}.json"
             if not path.exists():

@@ -35,7 +35,7 @@ from translim.diagrams import (
     induced_limit_map,
     lim_to_prod_section_check,
     limit_object,
-    retract_product_element,
+    retract_product_levels,
     system_from_json,
     system_to_json,
 )
@@ -567,14 +567,15 @@ def test_retract_ignores_junk_prefix():
     def coord(j):
         return (1,) if j < 1 else (3,)
 
-    assert retract_product_element(sys_c, coord, 1, 0) == (3,)
-    assert retract_product_element(
-        sys_c, lambda j: lobj.coordinate((2,), j), 0, 0) == (2,)
+    assert retract_product_levels(sys_c, coord, 1, 2) == [(3,), (3,)]
+    assert retract_product_levels(
+        sys_c, lambda j: lobj.coordinate((2,), j), 0, 2) == [(2,), (2,)]
+    assert retract_product_levels(sys_c, coord, 1, 0) == []
 
 
 def two_branch_retraction(system, coord, bound, gamma):
-    """The retraction with one branch per index shape and table
-    composites (the old retract_product_element)."""
+    """The level-gamma retraction with one branch per index shape and table
+    composites (the old single-level retraction)."""
     if system.index != OMEGA:
         top = system.height - 1
         pieces = [(from_int(j - gamma), from_int(j - gamma + 1),
@@ -606,8 +607,10 @@ def test_retraction_matches_the_two_branch_form(modulus, finite, seed):
     def coord(j):
         return junk[j] if j < len(junk) else lobj.coordinate(t, j)
 
+    retracted = retract_product_levels(system, coord, len(junk), levels)
+    assert len(retracted) == levels
     for gamma in range(levels):
-        assert (retract_product_element(system, coord, len(junk), gamma)
+        assert (retracted[gamma]
                 == two_branch_retraction(system, coord, len(junk), gamma))
 
 
@@ -629,12 +632,66 @@ def test_threads_and_retraction_build_no_homomorphism(monkeypatch):
         lobj = limit_object(system)
         levels = system.height + 2 if system.index == OMEGA else system.height
         for t in lobj.elements():
-            for gamma in range(levels):
-                expected = lobj.coordinate(t, gamma)
-                assert retract_product_element(
-                    system, lambda j, t=t: lobj.coordinate(t, j), 0,
-                    gamma) == expected
+            expected = [lobj.coordinate(t, gamma) for gamma in range(levels)]
+            assert retract_product_levels(
+                system, lambda j, t=t: lobj.coordinate(t, j), 0,
+                levels) == expected
     assert built == []
+
+
+MULT3 = Homomorphism.from_generator_images(Z4, Z4, [(3,)])
+
+
+def _retraction_work(monkeypatch, system, bound, levels):
+    """(push_down calls, map table lookups) of one retraction of a thread
+    at every level; each coordinate must be read once."""
+    lobj = limit_object(system)
+    t = lobj.elements()[-1]
+    span = max(bound, levels - 1) + 2 if system.index == OMEGA else levels
+    thread = [lobj.coordinate(t, j) for j in range(span)]
+    reads = {"coord": [], "push_down": 0, "lookup": 0}
+    push_down, table = InverseSystem.push_down, Homomorphism.table
+
+    class CountedTable(dict):
+        def __getitem__(self, x):
+            reads["lookup"] += 1
+            return dict.__getitem__(self, x)
+
+    def coord(j):
+        reads["coord"].append(j)
+        return thread[j]
+
+    def counted_push_down(self, *args):
+        reads["push_down"] += 1
+        return push_down(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(InverseSystem, "push_down", counted_push_down)
+        m.setattr(Homomorphism, "table",
+                  property(lambda f: CountedTable(table.fget(f))))
+        got = retract_product_levels(system, coord, bound, levels)
+    assert got == thread[:levels]
+    assert len(reads["coord"]) == len(set(reads["coord"]))
+    return reads["push_down"], reads["lookup"]
+
+
+def test_retraction_work_grows_quadratically_in_the_height(monkeypatch):
+    # the old retraction pushed every coordinate above each level down to
+    # it from scratch: a push_down call per level and coordinate, and a
+    # cubic count of table lookups in the height
+    def finite(h):
+        return InverseSystem(from_int(h), (Z4,) * h, (MULT3,) * (h - 1),
+                             None), 0, h
+
+    def junk_over_omega(h):
+        return InverseSystem(OMEGA, (Z4,) * h, (IDENT,) * (h - 2) + (MULT3,),
+                             "repeat-last-block"), h + 1, h + 1
+
+    for shape in (finite, junk_over_omega):
+        calls, lookups = _retraction_work(monkeypatch, *shape(12))
+        more_calls, more_lookups = _retraction_work(monkeypatch, *shape(24))
+        assert more_calls == calls <= 3, shape.__name__
+        assert 3 * lookups < more_lookups < 5 * lookups, shape.__name__
 
 
 def test_section_check_reports():

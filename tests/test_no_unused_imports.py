@@ -1,7 +1,7 @@
 """Every imported name in the library, the tests and the demos is used.
 
-Package `__init__.py` files are exempt (their imports are the re-exported
-public surface), and so are `from __future__` imports.
+`from __future__` imports are exempt.  The package `__init__.py` is
+checked too: it exports through a module `__getattr__`, not by importing.
 """
 
 import ast
@@ -28,9 +28,9 @@ def _unused(tree):
 
 
 def test_no_unused_imports():
-    paths = sorted(p for src in SOURCES for p in src.glob("*.py")
-                   if p.name != "__init__.py")
+    paths = sorted(p for src in SOURCES for p in src.glob("*.py"))
     assert any(p.name == "instances.py" for p in paths)
+    assert any(p.name == "__init__.py" for p in paths)
     assert any(p.parent.name == "demos" for p in paths)
     found = []
     for path in paths:
